@@ -2,8 +2,8 @@
 //
 // RemoteSocketTransport is the remote-process split of SocketTransport: ONE
 // direction of a master↔worker DuplexLink carried over its own TCP
-// connection whose two ends live in different OS processes. Each side plays
-// one role:
+// connection whose two ends live in different OS processes. Each side runs
+// one half of the session engine (comm/session.h, DESIGN.md §11):
 //
 //   * kSender   — owns the sequence counter and the replay buffer, wraps
 //     frames in kData session records, drains cumulative acks (and hello
@@ -13,19 +13,19 @@
 //     replayed duplicates, acks cumulatively, and distinguishes goodbye
 //     (graceful close) from bare EOF (connection loss → session resume).
 //
-// The session codec, replay/ack/hello resume protocol and its accounting
-// are byte-for-byte the loopback SocketTransport's (comm/session.h is
-// shared), so everything the equivalence gates pin — exactly-once delivery,
-// replay charged to on_session_replay, goodbye semantics — holds across
-// process boundaries too.
+// The engine is the one the loopback SocketTransport runs with both halves,
+// so everything the equivalence gates pin — exactly-once delivery, replay
+// charged to on_session_replay, goodbye semantics — holds across process
+// boundaries too. Only the connector differs.
 //
 // Connection lifecycle: the worker process is always the dialer (it
 // connects to the master's PeerListener port and opens with a kIdent
 // record; on loss it redials and re-identifies with the same session id).
 // The master side adopts connections from the PeerListener and, on loss,
-// waits for the peer to re-identify (take_resume). Both sides then run the
-// ordinary kHello handshake, which is what "identity layered under the
-// session-resume records" means.
+// waits for the peer to re-identify (take_resume). On every connection,
+// first or resumed, the receiver then sends exactly one kHello and the
+// sender prunes to it and replays — which is what "identity layered under
+// the session-resume records" means.
 #pragma once
 
 #include <memory>
@@ -80,8 +80,8 @@ class RemoteSocketTransport final : public Transport {
 
  private:
   RemoteSocketTransport();
-  class Impl;
-  std::unique_ptr<Impl> impl_;
+  session::PeerIdentity id_;
+  std::unique_ptr<session::Engine> engine_;
 };
 
 }  // namespace vela::comm

@@ -6,11 +6,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 #include "comm/frame.h"
+#include "util/audit.h"
 #include "util/check.h"
+#include "util/logging.h"
 
 namespace vela::comm::session {
 
@@ -309,6 +313,449 @@ int dial_socket(std::uint16_t port) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
+}
+
+// --- Engine ------------------------------------------------------------------
+
+Conn::~Conn() {
+  if (tx_fd >= 0) ::close(tx_fd);
+  if (rx_fd >= 0) ::close(rx_fd);
+}
+
+void Conn::cut() const {
+  if (tx_fd >= 0) ::shutdown(tx_fd, SHUT_RDWR);
+  if (rx_fd >= 0) ::shutdown(rx_fd, SHUT_RDWR);
+}
+
+Engine::Engine(Options options, util::Clock* clock, ReconnectPolicy policy,
+               Connector connector)
+    : options_(std::move(options)),
+      clock_(clock != nullptr ? clock : &util::system_clock()),
+      policy_(policy),
+      connector_(std::move(connector)),
+      jitter_rng_(policy.jitter_seed) {}
+
+Engine::~Engine() = default;
+
+bool Engine::open(bool announce) {
+  std::shared_ptr<Conn> first;
+  {
+    std::lock_guard<std::mutex> st(state_mutex_);
+    const int attempt = attempt_loop_locked([&] {
+      first = connect_locked();
+      return first != nullptr;
+    });
+    if (attempt == 0) return false;
+  }
+  open(std::move(first), announce);
+  return true;
+}
+
+void Engine::open(std::shared_ptr<Conn> first, bool announce) {
+  // A hello that fails to leave is harmless: the connection is then dead,
+  // and the first receive resumes it with a fresh hello.
+  if (announce && options_.receiver) (void)offer_hello(*first);
+  publish(first);
+}
+
+bool Engine::send(const std::vector<std::uint8_t>& frame) {
+  VELA_CHECK_MSG(options_.sender, "send() on a session without a sender half");
+  // tx_mutex_ keeps concurrent senders' records intact on the stream (the
+  // EP inboxes are many-writer) and orders close() after any in-progress
+  // write, so a record is never torn by a graceful shutdown.
+  std::lock_guard<std::mutex> tx(tx_mutex_);
+  if (closed_.load(std::memory_order_acquire)) return false;
+
+  std::shared_ptr<Conn> conn;
+  std::vector<std::uint8_t> record;
+  const ConnectionScript::Sever* sever = nullptr;
+  {
+    std::lock_guard<std::mutex> st(state_mutex_);
+    const std::uint64_t seq = next_seq_++;
+    record = encode_data_record(seq, frame);
+    replay_.emplace_back(seq, frame);
+    sever = pending_sever_locked(seq);
+    conn = snapshot();
+    std::lock_guard<std::mutex> sl(stats_mutex_);
+    ++stats_.frames_sent;
+  }
+  drain_acks(*conn);
+
+  bool wrote = false;
+  if (sever != nullptr) {
+    // Scripted cut: put exactly byte_offset bytes of the record on the
+    // wire, then kill the connection. The frame stays in the replay
+    // buffer, so resume must deliver it exactly once.
+    const std::size_t cut = std::min(sever->byte_offset, record.size());
+    {
+      std::lock_guard<std::mutex> wl(conn->write_mutex);
+      if (cut > 0) write_all(conn->tx_fd, record.data(), cut);
+      ::shutdown(conn->tx_fd, SHUT_RDWR);
+    }
+    std::lock_guard<std::mutex> sl(stats_mutex_);
+    ++stats_.severs_injected;
+  } else {
+    std::lock_guard<std::mutex> wl(conn->write_mutex);
+    wrote = write_all(conn->tx_fd, record.data(), record.size());
+  }
+  if (wrote) return true;
+
+  // The write failed (or the script cut the stream): resume the session.
+  // The resume replays everything unacknowledged — including this frame —
+  // so success means the frame is on the wire.
+  std::lock_guard<std::mutex> st(state_mutex_);
+  return recover_locked(conn);
+}
+
+std::optional<std::vector<std::uint8_t>> Engine::receive() {
+  std::vector<std::uint8_t> frame;
+  if (receive_within(-1, &frame) != PopStatus::kOk) return std::nullopt;
+  return frame;
+}
+
+std::optional<std::vector<std::uint8_t>> Engine::try_receive() {
+  std::vector<std::uint8_t> frame;
+  if (receive_within(0, &frame) != PopStatus::kOk) return std::nullopt;
+  return frame;
+}
+
+PopStatus Engine::receive_for(std::chrono::milliseconds timeout,
+                              std::vector<std::uint8_t>* out) {
+  const long ms = static_cast<long>(timeout.count());
+  return receive_within(ms < 0 ? 0 : ms, out);
+}
+
+PopStatus Engine::receive_within(long timeout_ms,
+                                 std::vector<std::uint8_t>* out) {
+  VELA_CHECK_MSG(options_.receiver,
+                 "receive() on a session without a receiver half");
+  std::lock_guard<std::mutex> rx(rx_mutex_);
+  // The poll deadline below is the OS-level wait budget — the injection
+  // point itself; virtual-time conversion happens one layer up
+  // (util::Clock::wait_slice in the retry loops).
+  // vela-lint: allow(naked-clock)
+  const auto deadline =
+      timeout_ms < 0
+          ? std::chrono::steady_clock::time_point::max()
+          // vela-lint: allow(naked-clock)
+          : std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(timeout_ms);
+  while (true) {
+    if (!options_.sender && closed_.load(std::memory_order_acquire) &&
+        !goodbye_received_.load(std::memory_order_acquire)) {
+      // A lone receiver closed locally reports end-of-stream. (With both
+      // halves, close() is the sender's: the receiver drains to goodbye.)
+      return PopStatus::kClosed;
+    }
+    std::shared_ptr<Conn> conn = snapshot();
+    Record rec;
+    if (conn->rx_parser.next(&rec)) {
+      if (rec.type == kRecData) {
+        const std::uint64_t expected =
+            next_expected_.load(std::memory_order_acquire);
+        if (rec.seq == expected) {
+          next_expected_.store(expected + 1, std::memory_order_release);
+          send_ack(*conn, expected + 1);
+          *out = std::move(rec.frame);
+          return PopStatus::kOk;
+        }
+        VELA_CHECK_MSG(rec.seq < expected,
+                       "session resume broke ordering: got seq "
+                           << rec.seq << ", expected " << expected);
+        // A replayed record we already delivered: discard (this is the
+        // exactly-once half of the resume contract) and re-ack so the
+        // sender prunes its replay buffer.
+        {
+          std::lock_guard<std::mutex> sl(stats_mutex_);
+          ++stats_.duplicates_discarded;
+        }
+        send_ack(*conn, expected);
+        continue;
+      }
+      VELA_CHECK_MSG(rec.type == kRecGoodbye,
+                     "unexpected session record on data direction: "
+                         << static_cast<int>(rec.type));
+      goodbye_received_.store(true, std::memory_order_release);
+      continue;
+    }
+    // Parser empty: closed-and-drained, or wait for more bytes.
+    if (goodbye_received_.load(std::memory_order_acquire)) {
+      return PopStatus::kClosed;
+    }
+    if (dead_.load(std::memory_order_acquire)) return PopStatus::kClosed;
+    if (conn->rx_eof) {
+      // EOF without a goodbye: the connection was lost, not closed.
+      std::unique_lock<std::mutex> st(state_mutex_, std::try_to_lock);
+      if (st.owns_lock()) {
+        if (!recover_locked(conn)) return PopStatus::kClosed;
+      } else {
+        // Another thread is already resuming; yield so it can publish the
+        // fresh connection (we then drain its replay). Real yield on
+        // purpose — this is inter-thread scheduling, not protocol time.
+        // vela-lint: allow(naked-clock)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      continue;
+    }
+
+    int wait_ms = -1;
+    if (timeout_ms >= 0) {
+      // vela-lint: allow(naked-clock)
+      const auto remaining = deadline - std::chrono::steady_clock::now();
+      const auto ms =
+          std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
+              .count();
+      if (ms < 0 && timeout_ms != 0) return PopStatus::kTimeout;
+      wait_ms = ms < 0 ? 0 : static_cast<int>(ms);
+    }
+    pollfd pfd{};
+    pfd.fd = conn->rx_fd;
+    pfd.events = POLLIN;
+    const int ready = ::poll(&pfd, 1, wait_ms);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      VELA_CHECK_MSG(false, "poll(): " + std::string(std::strerror(errno)));
+    }
+    if (ready == 0) {
+      if (timeout_ms == 0) return PopStatus::kTimeout;
+      continue;  // re-check the deadline at the loop top
+    }
+
+    std::uint8_t buf[65536];
+    const ssize_t n = ::recv(conn->rx_fd, buf, sizeof(buf), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == ECONNRESET || errno == EPIPE) {
+        conn->rx_eof = true;
+        continue;
+      }
+      VELA_CHECK_MSG(false, "recv(): " + std::string(std::strerror(errno)));
+    }
+    if (n == 0) {
+      conn->rx_eof = true;
+      continue;
+    }
+    conn->rx_parser.feed(buf, static_cast<std::size_t>(n));
+  }
+}
+
+void Engine::close() {
+  if (!options_.sender) {
+    if (closed_.exchange(true, std::memory_order_acq_rel)) return;
+    if (const std::shared_ptr<Conn> conn = snapshot()) conn->cut();
+    return;
+  }
+  std::lock_guard<std::mutex> tx(tx_mutex_);
+  if (closed_.exchange(true, std::memory_order_acq_rel)) return;
+  const std::shared_ptr<Conn> conn = snapshot();
+  if (conn == nullptr) return;
+  // Goodbye after the last complete record, then FIN: the receiver drains
+  // buffered records, sees the goodbye, and reports closed — the
+  // BlockingQueue close-then-drain contract. An EOF *without* goodbye is
+  // a connection loss and triggers resume instead.
+  const auto bye = encode_ctrl_record(kRecGoodbye, 0);
+  std::lock_guard<std::mutex> wl(conn->write_mutex);
+  write_all(conn->tx_fd, bye.data(), bye.size());
+  ::shutdown(conn->tx_fd, SHUT_WR);
+}
+
+void Engine::set_connection_script(const ConnectionScript* script) {
+  std::lock_guard<std::mutex> st(state_mutex_);
+  script_ = script;
+  sever_fired_.assign(script != nullptr ? script->severs.size() : 0, false);
+  refused_so_far_ = 0;
+}
+
+SessionStats Engine::stats() const {
+  std::lock_guard<std::mutex> sl(stats_mutex_);
+  return stats_;
+}
+
+void Engine::sever() {
+  if (const std::shared_ptr<Conn> conn = snapshot()) conn->cut();
+}
+
+std::shared_ptr<Conn> Engine::snapshot() const {
+  std::lock_guard<std::mutex> lock(conn_ptr_mutex_);
+  return conn_;
+}
+
+void Engine::publish(const std::shared_ptr<Conn>& conn) {
+  std::lock_guard<std::mutex> lock(conn_ptr_mutex_);
+  conn_ = conn;
+}
+
+int Engine::attempt_loop_locked(const std::function<bool()>& attempt) {
+  for (int k = 1; k <= policy_.max_attempts; ++k) {
+    if (k > 1 && options_.backoff) {
+      // Attempt k sleeps min(base·mult^(k-2), max) plus a seeded jitter in
+      // [0, base], on the injected clock.
+      const auto base = policy_.backoff_base.count();
+      double delay = static_cast<double>(base);
+      for (int i = 2; i < k; ++i) delay *= policy_.backoff_multiplier;
+      delay = std::min(delay, static_cast<double>(policy_.backoff_max.count()));
+      const auto jitter = static_cast<std::int64_t>(
+          jitter_rng_.uniform_index(static_cast<std::uint64_t>(base) + 1));
+      clock_->sleep_for(std::chrono::milliseconds(
+          static_cast<std::int64_t>(delay) + jitter));
+    }
+    if (attempt()) return k;
+  }
+  return 0;
+}
+
+std::shared_ptr<Conn> Engine::connect_locked() {
+  if (script_ != nullptr) {
+    if (refused_so_far_ < script_->refuse_reconnects) {
+      ++refused_so_far_;
+      std::lock_guard<std::mutex> sl(stats_mutex_);
+      ++stats_.refused_connects;
+      return nullptr;
+    }
+    if (script_->accept_delay.count() > 0) {
+      clock_->sleep_for(script_->accept_delay);
+    }
+  }
+  return connector_();
+}
+
+bool Engine::handshake_locked(const std::shared_ptr<Conn>& old_conn,
+                              const std::shared_ptr<Conn>& fresh) {
+  if (options_.receiver && !offer_hello(*fresh)) return false;
+  if (options_.sender) {
+    // Wait for the peer's hello (stale acks may precede it), then prune to
+    // its watermark.
+    Record rec;
+    bool got_hello = false;
+    while (read_record_blocking(fresh->tx_fd, &fresh->ack_parser, &rec,
+                                kHandshakeBudgetMs)) {
+      if (rec.type == kRecHello) {
+        got_hello = true;
+        break;
+      }
+      if (rec.type != kRecAck) break;  // protocol violation; retry
+    }
+    if (!got_hello) return false;
+    prune_replay_locked(rec.seq);
+  }
+
+  // Publish BEFORE replaying: the receive path (which never blocks on
+  // state_mutex_) starts draining the fresh connection immediately, so a
+  // replay larger than the socket buffers still makes progress.
+  publish(fresh);
+  old_conn->cut();
+  if (!options_.sender) return true;
+
+  std::lock_guard<std::mutex> wl(fresh->write_mutex);
+  for (const auto& [seq, frame] : replay_) {
+    const auto record = encode_data_record(seq, frame);
+    if (!write_all_timed(fresh->tx_fd, record.data(), record.size(),
+                         kReplayBudgetMs)) {
+      // The fresh connection wedged mid-replay; cut it and try again — the
+      // next hello re-syncs, so nothing is lost or duplicated.
+      fresh->cut();
+      return false;
+    }
+    {
+      std::lock_guard<std::mutex> sl(stats_mutex_);
+      ++stats_.replayed_frames;
+      stats_.replayed_bytes += record.size();
+    }
+    if (audit::enabled()) {
+      audit::ConservationLedger::instance().on_session_replay(record.size());
+    }
+  }
+  return true;
+}
+
+bool Engine::recover_locked(const std::shared_ptr<Conn>& old_conn) {
+  if (dead_.load(std::memory_order_acquire)) return false;
+  if (goodbye_received_.load(std::memory_order_acquire) ||
+      (closed_.load(std::memory_order_acquire) && snapshot() == old_conn)) {
+    // Graceful close in progress — nothing to resume.
+    return false;
+  }
+  if (snapshot() != old_conn) return true;  // another thread resumed
+
+  const int attempt = attempt_loop_locked([&] {
+    const std::shared_ptr<Conn> fresh = connect_locked();
+    return fresh != nullptr && handshake_locked(old_conn, fresh);
+  });
+  if (attempt > 0) {
+    {
+      std::lock_guard<std::mutex> sl(stats_mutex_);
+      ++stats_.reconnects;
+    }
+    VELA_LOG_DEBUG("session") << options_.label << "resumed after " << attempt
+                              << " attempt(s), replayed " << replay_.size()
+                              << " frame(s)";
+    return true;
+  }
+
+  // Budget exhausted: the session is dead. The transport reports closed;
+  // the layers above turn that into WorkerFailedError → degrade.
+  dead_.store(true, std::memory_order_release);
+  closed_.store(true, std::memory_order_release);
+  old_conn->cut();
+  if (const std::shared_ptr<Conn> current = snapshot(); current != old_conn) {
+    current->cut();
+  }
+  VELA_LOG_WARN("session") << options_.label << "reconnect budget exhausted ("
+                           << policy_.max_attempts
+                           << " attempts); session dead";
+  return false;
+}
+
+bool Engine::offer_hello(const Conn& conn) const {
+  const auto hello = encode_ctrl_record(
+      kRecHello, next_expected_.load(std::memory_order_acquire));
+  return write_all_timed(conn.rx_fd, hello.data(), hello.size(),
+                         kHandshakeBudgetMs);
+}
+
+// Opportunistic drain of the reverse path on the send side: cumulative acks
+// prune the replay buffer; a hello (a peer's opening or post-resume offer)
+// prunes the same way.
+void Engine::drain_acks(Conn& conn) {
+  while (true) {
+    std::uint8_t buf[4096];
+    const ssize_t n = ::recv(conn.tx_fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n <= 0) break;
+    conn.ack_parser.feed(buf, static_cast<std::size_t>(n));
+  }
+  Record rec;
+  while (conn.ack_parser.next(&rec)) {
+    VELA_CHECK_MSG(rec.type == kRecAck || rec.type == kRecHello,
+                   "unexpected session record on ack direction: "
+                       << static_cast<int>(rec.type));
+    std::lock_guard<std::mutex> st(state_mutex_);
+    prune_replay_locked(rec.seq);
+  }
+}
+
+// Receiver-side cumulative ack. Best-effort: a lost ack only delays pruning
+// (the resume hello is the authoritative sync point).
+void Engine::send_ack(const Conn& conn, std::uint64_t next_expected) const {
+  const auto ack = encode_ctrl_record(kRecAck, next_expected);
+  write_all(conn.rx_fd, ack.data(), ack.size());
+}
+
+void Engine::prune_replay_locked(std::uint64_t next_expected) {
+  while (!replay_.empty() && replay_.front().first < next_expected) {
+    replay_.pop_front();
+  }
+}
+
+const ConnectionScript::Sever* Engine::pending_sever_locked(
+    std::uint64_t seq) {
+  if (script_ == nullptr) return nullptr;
+  for (std::size_t i = 0; i < script_->severs.size(); ++i) {
+    if (!sever_fired_[i] && script_->severs[i].frame_index == seq) {
+      sever_fired_[i] = true;
+      return &script_->severs[i];
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace vela::comm::session

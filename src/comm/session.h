@@ -1,4 +1,6 @@
-// Session-record codec of the socket fabric (DESIGN.md §11, §12).
+// Session layer of the socket fabric (DESIGN.md §11, §12): the record
+// codec, the socket plumbing, and the one session-resume engine that both
+// socket backends run.
 //
 // Every byte on a socket-backed lane travels inside a session record. The
 // loopback SocketTransport and the multi-process RemoteSocketTransport speak
@@ -15,15 +17,32 @@
 // announces who it is (rank, lane, hosted-expert capacity) and which
 // transport session it belongs to, layered UNDER the kHello resume records —
 // a reconnecting peer re-identifies with the same session id, then the
-// ordinary hello/ack resume takes over, so reconnect semantics are exactly
-// the single-process session layer's. This codec is shared so the two
-// implementations cannot drift.
+// ordinary hello/ack resume takes over.
+//
+// The protocol itself — sequence numbers, replay buffer, cumulative acks,
+// the kHello resume handshake and the bounded reconnect backoff — exists
+// once, in session::Engine below. A backend is an Engine running one or
+// both halves plus a Connector that yields fresh connections: the loopback
+// pair dials its own retained listener, a remote lane redials and
+// re-identifies (worker) or takes the peer's re-identified connection from
+// the PeerListener (master).
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/transport.h"
+#include "util/clock.h"
+#include "util/rng.h"
 
 namespace vela::comm::session {
 
@@ -103,6 +122,11 @@ class RecordParser {
 
 // --- socket plumbing shared by the loopback and remote backends -------------
 
+// Real-time bounds on a loopback round trip during a handshake (kIdent,
+// kHello) and on replaying the unacked tail — not protocol time.
+inline constexpr int kHandshakeBudgetMs = 2000;
+inline constexpr int kReplayBudgetMs = 5000;
+
 // Blocking write with EINTR retry; false on a dead peer.
 bool write_all(int fd, const std::uint8_t* data, std::size_t size);
 
@@ -131,5 +155,151 @@ int make_listen_socket(std::uint16_t port, std::uint16_t* bound_port,
 
 // Connects to 127.0.0.1:`port` with TCP_NODELAY. Returns -1 on failure.
 int dial_socket(std::uint16_t port);
+
+// --- the session-resume engine -----------------------------------------------
+
+// One connection of a session as seen from this process. The loopback pair
+// owns both ends (data leaves on tx_fd and arrives on rx_fd; acks and
+// hellos travel the reverse way); a remote lane owns one end, in the slot
+// of the half it runs.
+struct Conn {
+  int tx_fd = -1;  // sender half: writes data, reads acks/hellos
+  int rx_fd = -1;  // receiver half: reads data, writes acks/hellos
+  std::mutex write_mutex;   // serializes writers to tx_fd (data/replay/bye)
+  RecordParser rx_parser;   // guarded by Engine::rx_mutex_
+  RecordParser ack_parser;  // guarded by Engine::tx_mutex_, or by
+                            // Engine::state_mutex_ before publication
+  bool rx_eof = false;      // guarded by Engine::rx_mutex_
+
+  Conn() = default;
+  Conn(const Conn&) = delete;
+  Conn& operator=(const Conn&) = delete;
+  ~Conn();
+
+  // shutdown(SHUT_RDWR) on every owned fd: the peer sees a bare EOF (a
+  // connection loss, not a goodbye) and local pollers wake.
+  void cut() const;
+};
+
+// Yields one fresh connection per call, nullptr if this attempt failed.
+using Connector = std::function<std::shared_ptr<Conn>()>;
+
+// The session protocol (DESIGN.md §11) over connections from a Connector:
+//
+//   * sender half   — sequence counter, replay buffer pruned by cumulative
+//     acks and resume hellos, replay onto a fresh connection, goodbye-then-
+//     FIN on close;
+//   * receiver half — in-order delivery, duplicate discard with a re-ack,
+//     goodbye (graceful close) told apart from a bare EOF (connection loss
+//     → resume);
+//   * one bounded-backoff attempt loop over ReconnectPolicy, used for the
+//     first connection and for every resume.
+//
+// On a resume the receiver half offers kHello(next expected) on the fresh
+// connection and the sender half waits for the peer's hello, prunes to it
+// and replays the rest. An engine running both halves (the loopback pair)
+// completes the whole handshake on the calling thread. Once the attempt
+// budget is spent the session is dead and reports closed.
+//
+// Lock order (never reversed): tx_mutex_/rx_mutex_ → state_mutex_ →
+// conn_ptr_mutex_/Conn::write_mutex → stats_mutex_.
+class Engine {
+ public:
+  struct Options {
+    bool sender = false;    // runs the sender half
+    bool receiver = false;  // runs the receiver half
+    // Sleep the policy's backoff before attempts after the first. Off for
+    // a connector that itself waits for the peer — that wait is the pacing.
+    bool backoff = true;
+    std::string label;      // log prefix naming the lane
+  };
+
+  // `clock` drives backoff and accept-delay sleeps (nullptr: the system
+  // clock).
+  Engine(Options options, util::Clock* clock, ReconnectPolicy policy,
+         Connector connector);
+  ~Engine();
+
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  // Establishes the first connection through the attempt loop; false once
+  // the budget is spent. With `announce`, the receiver half opens the
+  // connection with kHello (the remote lanes do; the loopback pair shares
+  // one watermark and skips it).
+  [[nodiscard]] bool open(bool announce);
+  // Same, with a first connection established elsewhere (an adopted peer).
+  void open(std::shared_ptr<Conn> first, bool announce);
+
+  // The Transport surface (see transport.h for the contracts).
+  bool send(const std::vector<std::uint8_t>& frame);
+  std::optional<std::vector<std::uint8_t>> receive();
+  std::optional<std::vector<std::uint8_t>> try_receive();
+  PopStatus receive_for(std::chrono::milliseconds timeout,
+                        std::vector<std::uint8_t>* out);
+  void close();
+  [[nodiscard]] bool closed() const {
+    return closed_.load(std::memory_order_acquire);
+  }
+  void set_connection_script(const ConnectionScript* script);
+  [[nodiscard]] SessionStats stats() const;
+
+  // Cuts the live connection at the socket level (no goodbye).
+  void sever();
+
+ private:
+  // `timeout_ms` < 0 blocks indefinitely, 0 polls.
+  PopStatus receive_within(long timeout_ms, std::vector<std::uint8_t>* out);
+
+  std::shared_ptr<Conn> snapshot() const;
+  void publish(const std::shared_ptr<Conn>& conn);
+
+  // Runs `attempt` up to policy.max_attempts times, sleeping the backoff
+  // before each retry; returns the 1-based attempt that succeeded, 0 once
+  // the budget is spent. Caller holds state_mutex_.
+  int attempt_loop_locked(const std::function<bool()>& attempt);
+  // One connector call, after any scripted refusal or accept stall.
+  // Caller holds state_mutex_.
+  std::shared_ptr<Conn> connect_locked();
+  // The kHello handshake and replay on `fresh`, which replaces `old_conn`.
+  // Caller holds state_mutex_.
+  bool handshake_locked(const std::shared_ptr<Conn>& old_conn,
+                        const std::shared_ptr<Conn>& fresh);
+  // Session resume after `old_conn` was lost. Caller holds state_mutex_.
+  bool recover_locked(const std::shared_ptr<Conn>& old_conn);
+
+  bool offer_hello(const Conn& conn) const;
+  void drain_acks(Conn& conn);
+  void send_ack(const Conn& conn, std::uint64_t next_expected) const;
+  void prune_replay_locked(std::uint64_t next_expected);
+  const ConnectionScript::Sever* pending_sever_locked(std::uint64_t seq);
+
+  const Options options_;
+  util::Clock* clock_;
+  const ReconnectPolicy policy_;
+  const Connector connector_;
+
+  std::mutex tx_mutex_;  // serializes send()/close() callers
+  std::mutex rx_mutex_;  // serializes receive callers
+
+  std::mutex state_mutex_;
+  std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> replay_;
+  std::uint64_t next_seq_ = 0;                // guarded by state_mutex_
+  Rng jitter_rng_;                            // guarded by state_mutex_
+  const ConnectionScript* script_ = nullptr;  // guarded by state_mutex_
+  std::vector<bool> sever_fired_;             // guarded by state_mutex_
+  int refused_so_far_ = 0;                    // guarded by state_mutex_
+
+  mutable std::mutex conn_ptr_mutex_;
+  std::shared_ptr<Conn> conn_;  // guarded by conn_ptr_mutex_
+
+  std::atomic<std::uint64_t> next_expected_{0};
+  std::atomic<bool> goodbye_received_{false};
+  std::atomic<bool> closed_{false};
+  std::atomic<bool> dead_{false};
+
+  mutable std::mutex stats_mutex_;
+  SessionStats stats_;  // guarded by stats_mutex_
+};
 
 }  // namespace vela::comm::session

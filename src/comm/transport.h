@@ -8,7 +8,7 @@
 // bit-exact (losses, weights, TrafficMeter counts) under every
 // TransportKind.
 //
-// Two from-scratch backends:
+// Two backends:
 //
 //   * InProcTransport — a BlockingQueue of frame buffers; exactly the
 //     blocking-queue semantics the runtime has always had.
@@ -19,7 +19,10 @@
 //     (deterministically seeded jitter) and a hello/ack handshake that
 //     replays unacknowledged frames — a cut cable loses no frames. Only
 //     when the reconnect budget is exhausted does the transport report
-//     closed, which the layers above translate into worker death.
+//     closed, which the layers above translate into worker death. The
+//     session protocol is comm::session::Engine (comm/session.h), which the
+//     multi-process RemoteSocketTransport (comm/remote_transport.h) runs
+//     too.
 //
 // Connection-level fault scripting: a ConnectionScript (installed by the
 // Endpoint from the FaultInjector's plan) describes faults *below* the
@@ -47,6 +50,10 @@
 #include "util/clock.h"
 
 namespace vela::comm {
+
+namespace session {
+class Engine;  // comm/session.h
+}  // namespace session
 
 enum class TransportKind : std::uint8_t {
   kDefault,  // resolve from VELA_TRANSPORT (unset → kInProc)
@@ -182,14 +189,14 @@ class InProcTransport final : public Transport {
   std::vector<bool> sever_fired_;             // guarded by script_mutex_
 };
 
-// Real-socket backend: a loopback TCP connection whose two file descriptors
-// are both owned by this object. The constructor performs the blocking
-// handshake — listen on an ephemeral 127.0.0.1 port, connect, accept — and
-// RETAINS the listener so a severed connection can be re-established
-// (session resume, DESIGN.md §11). The remote-process split — where the two
-// halves live in different OS processes — is RemoteSocketTransport
-// (comm/remote_transport.h, DESIGN.md §12); both speak the shared session
-// codec in comm/session.h.
+// Real-socket backend: both halves of a session::Engine over a loopback TCP
+// connection whose two file descriptors are both owned by this object. The
+// constructor listens on an ephemeral 127.0.0.1 port, connects and accepts,
+// and RETAINS the listener so a severed connection can be re-established
+// (session resume, DESIGN.md §11) — the engine's connector is that
+// dial-then-accept. The remote-process split — where the two halves live
+// in different OS processes — is RemoteSocketTransport
+// (comm/remote_transport.h, DESIGN.md §12), one half of the same engine.
 class SocketTransport final : public Transport {
  public:
   // `clock` drives backoff sleeps and defaults to the system clock;
@@ -214,8 +221,8 @@ class SocketTransport final : public Transport {
   [[nodiscard]] SessionStats session_stats() const;
 
  private:
-  class Impl;  // keeps <sys/socket.h> and friends out of this header
-  std::unique_ptr<Impl> impl_;
+  int listener_ = -1;
+  std::unique_ptr<session::Engine> engine_;
 };
 
 }  // namespace vela::comm

@@ -9,10 +9,18 @@
 // record (0 .. kSessionDataOverheadBytes + frame size) and requires
 // exactly-once in-order delivery at each offset. The conservation audit
 // proves replayed bytes are charged exactly once at the accounting boundary.
+// The multi-process RemoteSocketTransport runs the same protocol over a
+// dial/adopt pair through an in-process PeerListener: a mid-stream cut must
+// resume through redial → kIdent → take_resume → kHello → replay in both
+// lane orientations, and an adopted lane whose dialer never returns must
+// close once its reconnect budget is spent.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,6 +30,9 @@
 #include "comm/endpoint.h"
 #include "comm/fault_injector.h"
 #include "comm/message.h"
+#include "comm/peer_listener.h"
+#include "comm/remote_transport.h"
+#include "comm/session.h"
 #include "comm/transport.h"
 #include "tensor/tensor.h"
 #include "util/audit.h"
@@ -361,6 +372,196 @@ TEST(SessionResume, ReplayedBytesAreChargedExactlyOnce) {
   EXPECT_TRUE(violations.empty())
       << violations.size() << " audit violation(s), first: "
       << violations.front().first << ": " << violations.front().second;
+}
+
+// --- remote lanes: the multi-process resume path -----------------------------
+
+using Role = comm::RemoteSocketTransport::Role;
+
+// One lane of a master↔worker link, both ends in this process: the worker
+// end dials the listener and identifies, the master end adopts the
+// connection. `dialer_receives` picks the orientation — the to-worker lane
+// (dialing receiver, adopted sender) or the to-master lane (dialing sender,
+// adopted receiver). Members are declared so the listener outlives both
+// transports.
+struct RemoteLane {
+  std::unique_ptr<comm::PeerListener> listener;
+  std::unique_ptr<comm::RemoteSocketTransport> dialer;
+  std::unique_ptr<comm::RemoteSocketTransport> adopted;
+  comm::RemoteSocketTransport* sender = nullptr;
+  comm::RemoteSocketTransport* receiver = nullptr;
+};
+
+std::unique_ptr<RemoteLane> make_remote_lane(bool dialer_receives,
+                                             comm::ReconnectPolicy policy) {
+  auto lane = std::make_unique<RemoteLane>();
+  lane->listener = comm::make_peer_listener({});
+  comm::session::PeerIdentity id;
+  id.rank = 3;
+  id.lane = dialer_receives ? comm::session::kLaneToWorker
+                            : comm::session::kLaneToMaster;
+  id.capacity = 2;
+  id.session_id = 0xC0FFEEu;
+  lane->dialer = comm::RemoteSocketTransport::dial(
+      lane->listener->bound_port(),
+      dialer_receives ? Role::kReceiver : Role::kSender, id, nullptr, policy);
+  comm::AcceptedPeer peer =
+      lane->listener->take_peer(id.rank, id.lane, milliseconds(5000));
+  EXPECT_TRUE(peer.valid());
+  if (!peer.valid()) return nullptr;
+  lane->adopted = comm::RemoteSocketTransport::adopt(
+      std::move(peer), dialer_receives ? Role::kSender : Role::kReceiver,
+      lane->listener.get(), nullptr, policy);
+  lane->sender = dialer_receives ? lane->adopted.get() : lane->dialer.get();
+  lane->receiver = dialer_receives ? lane->dialer.get() : lane->adopted.get();
+  return lane;
+}
+
+struct SeveredStream {
+  std::vector<std::vector<std::uint8_t>> received;
+  comm::SessionStats sender;
+  comm::SessionStats receiver;
+};
+
+// Streams `frames` frames over `lane` with the receiver on its own thread
+// (as in a real fleet: the two ends resume independently). Once the first
+// `cut_after` frames have been delivered, the sender's connection is cut at
+// the socket level; the next send() hits the dead stream and resumes.
+SeveredStream run_severed_stream(RemoteLane* lane, int frames, int cut_after,
+                                 std::size_t frame_len) {
+  SeveredStream out;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t delivered = 0;
+  std::thread rx([&] {
+    while (auto f = lane->receiver->receive()) {
+      std::lock_guard<std::mutex> lock(mu);
+      out.received.push_back(std::move(*f));
+      delivered = out.received.size();
+      cv.notify_all();
+    }
+  });
+  for (int i = 0; i < frames; ++i) {
+    if (i == cut_after) {
+      // Everything sent so far was delivered (and acked), so the resume
+      // hello names exactly `cut_after` and only the cut frame replays.
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        const bool ok = cv.wait_for(lock, std::chrono::seconds(10), [&] {
+          return delivered == static_cast<std::size_t>(cut_after);
+        });
+        EXPECT_TRUE(ok) << "receiver stalled before the cut";
+      }
+      lane->sender->sever_for_testing();
+    }
+    EXPECT_TRUE(lane->sender->send(
+        test_frame(frame_len, static_cast<std::uint8_t>(i))))
+        << "frame " << i;
+  }
+  lane->sender->close();  // goodbye: the receiver thread drains and exits
+  rx.join();
+  out.sender = lane->sender->session_stats();
+  out.receiver = lane->receiver->session_stats();
+  return out;
+}
+
+TEST(RemoteSessionResume, SeverMidStreamDeliversExactlyOnceBothOrientations) {
+  constexpr int kFrames = 12;
+  constexpr int kCutAfter = 6;
+  constexpr std::size_t kFrameLen = 40;
+  const std::size_t record_len = comm::kSessionDataOverheadBytes + kFrameLen;
+  for (const bool dialer_receives : {true, false}) {
+    SCOPED_TRACE(dialer_receives ? "dialing receiver, adopted sender"
+                                 : "dialing sender, adopted receiver");
+    auto lane = make_remote_lane(dialer_receives, comm::ReconnectPolicy{});
+    ASSERT_NE(lane, nullptr);
+    const SeveredStream run =
+        run_severed_stream(lane.get(), kFrames, kCutAfter, kFrameLen);
+
+    ASSERT_EQ(run.received.size(), static_cast<std::size_t>(kFrames));
+    for (int i = 0; i < kFrames; ++i) {
+      EXPECT_EQ(run.received[i],
+                test_frame(kFrameLen, static_cast<std::uint8_t>(i)))
+          << "frame " << i;
+    }
+    EXPECT_EQ(run.sender.frames_sent, static_cast<std::uint64_t>(kFrames));
+    EXPECT_EQ(run.sender.reconnects, 1u);
+    EXPECT_EQ(run.receiver.reconnects, 1u);
+    EXPECT_EQ(run.sender.replayed_frames, 1u);
+    EXPECT_EQ(run.sender.replayed_bytes,
+              run.sender.replayed_frames * record_len);
+    EXPECT_EQ(run.receiver.replayed_frames, 0u);
+    EXPECT_EQ(run.receiver.duplicates_discarded, 0u);
+    EXPECT_TRUE(lane->sender->closed());
+  }
+}
+
+TEST(RemoteSessionResume, ReplayedBytesAreChargedExactlyOnce) {
+  audit::set_enabled_for_testing(true);
+  audit::ConservationLedger::instance().reset_for_testing();
+  std::vector<std::pair<std::string, std::string>> violations;
+  audit::set_violation_handler(
+      [&violations](const std::string& category, const std::string& detail) {
+        violations.emplace_back(category, detail);
+      });
+  std::uint64_t replayed_frames = 0;
+  std::uint64_t replayed_bytes = 0;
+  for (const bool dialer_receives : {true, false}) {
+    SCOPED_TRACE(dialer_receives ? "dialing receiver" : "dialing sender");
+    auto lane = make_remote_lane(dialer_receives, comm::ReconnectPolicy{});
+    ASSERT_NE(lane, nullptr);
+    const SeveredStream run = run_severed_stream(lane.get(), 10, 4, 24);
+    EXPECT_EQ(run.received.size(), 10u);
+    replayed_frames +=
+        run.sender.replayed_frames + run.receiver.replayed_frames;
+    replayed_bytes += run.sender.replayed_bytes + run.receiver.replayed_bytes;
+  }
+  // Each replayed record is charged once, by the half that replays it —
+  // neither the resume handshake nor the receiver's dedupe charges again.
+  const auto snap = audit::ConservationLedger::instance().snapshot();
+  EXPECT_EQ(replayed_frames, 2u);
+  EXPECT_EQ(snap.session_replays, replayed_frames);
+  EXPECT_EQ(snap.session_replay_bytes, replayed_bytes);
+  EXPECT_TRUE(snap.balanced());
+  audit::ConservationLedger::instance().check("remote-session-resume-test");
+  audit::set_violation_handler(nullptr);
+  audit::ConservationLedger::instance().reset_for_testing();
+  audit::set_enabled_for_testing(false);
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " audit violation(s), first: "
+      << violations.front().first << ": " << violations.front().second;
+}
+
+TEST(RemoteSessionResume, AdoptedLaneWithoutDialerClosesAfterBudget) {
+  // The adopted (master) end waits for the peer to re-identify; each
+  // take_resume wait is one attempt. With the dialer gone for good, the
+  // lane must report closed after max_attempts waits instead of hanging.
+  comm::ReconnectPolicy policy;
+  policy.max_attempts = 3;
+  policy.backoff_max = milliseconds(20);  // per-attempt wait floors at 50 ms
+  for (const bool dialer_receives : {true, false}) {
+    SCOPED_TRACE(dialer_receives ? "adopted sender" : "adopted receiver");
+    auto lane = make_remote_lane(dialer_receives, policy);
+    ASSERT_NE(lane, nullptr);
+    comm::RemoteSocketTransport* adopted = lane->adopted.get();
+    ASSERT_TRUE(lane->sender->send(test_frame(16, 0)));
+    const auto first = lane->receiver->receive();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(*first, test_frame(16, 0));
+
+    lane->dialer.reset();  // the worker process is gone and never redials
+    adopted->sever_for_testing();
+    if (dialer_receives) {
+      EXPECT_FALSE(adopted->send(test_frame(16, 1)));
+    } else {
+      EXPECT_FALSE(adopted->receive().has_value());
+    }
+    EXPECT_TRUE(adopted->closed());
+    EXPECT_EQ(adopted->session_stats().reconnects, 0u);
+    if (dialer_receives) {
+      EXPECT_FALSE(adopted->send(test_frame(16, 2)));
+    }
+  }
 }
 
 }  // namespace
