@@ -1,7 +1,7 @@
 // Deterministic, scriptable fault injection for the master↔worker fabric.
 //
-// An injector attaches to the channels of one runtime (Channel::send consults
-// it before publishing a message) and perturbs traffic according to a
+// An injector attaches to the endpoints of one runtime (Endpoint::send
+// consults it before publishing a message) and perturbs traffic according to a
 // FaultPlan: scripted one-shot rules that fire on the nth message of a
 // specific link direction, plus seeded background fault rates. Because each
 // channel direction has a single producer (the master thread or one worker
@@ -107,7 +107,7 @@ class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
 
-  // Called by Channel::send with the outgoing message; may mutate it
+  // Called by Endpoint::send with the outgoing message; may mutate it
   // (corruption, crash conversion). Returns the fault applied to this send.
   // Thread-safe; the per-(link, dir) sequence counter advances exactly once
   // per call.

@@ -12,14 +12,16 @@
 
 namespace vela::core {
 
-ExpertWorker::ExpertWorker(WorkerSpec spec, comm::DuplexLink* link,
+ExpertWorker::ExpertWorker(WorkerSpec spec, comm::Endpoint* inbox,
+                           std::vector<comm::Endpoint*> lanes,
                            std::vector<ExpertKey> initial_experts,
                            comm::TrafficMeter* meter)
-    : spec_(spec),
-      codec_(comm::WireCodec::resolve(spec.wire_dtype, spec.wire_bits,
-                                      spec.quantize_wire, spec.q8_block)),
-      link_(link) {
-  VELA_CHECK(link != nullptr);
+    : spec_(std::move(spec)),
+      codec_(comm::WireCodec::resolve(spec_.wire_dtype, spec_.wire_bits,
+                                      spec_.quantize_wire, spec_.q8_block)),
+      inbox_(inbox),
+      lanes_(std::move(lanes)) {
+  VELA_CHECK(inbox_ != nullptr && !lanes_.empty());
   store::StoreConfig cfg;
   cfg.budget = spec_.expert_budget;
   cfg.dir = spec_.store_dir;
@@ -56,7 +58,7 @@ ExpertWorker::ExpertWorker(WorkerSpec spec, comm::DuplexLink* link,
 
 ExpertWorker::~ExpertWorker() {
   if (thread_.joinable()) {
-    link_->to_worker.close();
+    inbox_->close();
     thread_.join();
   }
 }
@@ -104,31 +106,77 @@ void ExpertWorker::run() {
     // stops answering, which the master detects as a closed/silent channel.
     VELA_LOG_ERROR(tag) << "worker terminating on protocol error: "
                         << err.what();
-    link_->to_master.close();
+    close_lanes();
   }
 }
 
-bool ExpertWorker::reply_and_cache(std::uint64_t key, comm::Message reply) {
+void ExpertWorker::close_lanes() {
+  for (comm::Endpoint* lane : lanes_) lane->close();
+}
+
+bool ExpertWorker::reply_and_cache(const comm::Message& request,
+                                   comm::Message reply) {
   constexpr std::size_t kReplyCacheCapacity = 512;
+  const std::uint64_t key = dedupe_key(request);
   reply_cache_[key] = reply;
   reply_cache_order_.push_back(key);
   while (reply_cache_order_.size() > kReplyCacheCapacity) {
     reply_cache_.erase(reply_cache_order_.front());
     reply_cache_order_.pop_front();
   }
-  return link_->to_master.send(std::move(reply));
+  return lanes_[request.source]->send(std::move(reply));
+}
+
+void ExpertWorker::stage_grads(std::vector<Tensor>& slot,
+                               std::vector<nn::Parameter>& params) {
+  const bool fresh = slot.empty();
+  if (fresh) slot.reserve(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    ag::Variable& p = params[i].var;
+    if (fresh) {
+      slot.push_back(p.has_grad() ? p.grad()
+                                  : Tensor::zeros(p.value().shape()));
+    } else if (p.has_grad()) {
+      Tensor& acc = slot[i];
+      const Tensor& g = p.grad();
+      for (std::size_t j = 0; j < acc.size(); ++j) {
+        acc.data()[j] += g.data()[j];
+      }
+    }
+    p.zero_grad();
+  }
+}
+
+void ExpertWorker::fold_staged(const ExpertKey& key,
+                               nn::SwiGLUExpert& expert) {
+  const auto it = staged_.find(key);
+  if (it == staged_.end()) return;
+  std::vector<nn::Parameter> params = expert.trainable_parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    Tensor total;
+    for (auto& [source, grads] : it->second) {
+      if (total.size() == 0) {
+        total = std::move(grads[i]);
+      } else {
+        for (std::size_t j = 0; j < total.size(); ++j) {
+          total.data()[j] += grads[i].data()[j];
+        }
+      }
+    }
+    if (total.size() > 0) params[i].var.set_grad(std::move(total));
+  }
 }
 
 void ExpertWorker::run_loop(const std::string& tag) {
   while (true) {
-    auto maybe = link_->to_worker.receive();
+    auto maybe = inbox_->receive();
     if (!maybe.has_value()) break;  // channel closed
     // Drain whatever else already queued up behind it: consecutive compute
     // requests inside the batch become parallel tasks on the shared pool
     // while control traffic keeps its strict arrival-order handling.
     std::vector<comm::Message> batch;
     batch.push_back(std::move(*maybe));
-    while (auto more = link_->to_worker.try_receive()) {
+    while (auto more = inbox_->try_receive()) {
       batch.push_back(std::move(*more));
     }
     if (!process_batch(std::move(batch), tag)) return;
@@ -196,13 +244,14 @@ bool ExpertWorker::handle_forward_run(std::vector<comm::Message>& run) {
   for (std::size_t i = 0; i < valid; ++i) {
     const ExpertKey key{run[i].layer, run[i].expert};
     const auto [it, inserted] = pending_.emplace(
-        run[i].request_id, PendingRequest{key, slots[i].x, slots[i].y});
+        run[i].request_id,
+        PendingRequest{key, experts[i], slots[i].x, slots[i].y});
     // A re-executed request (reply cache evicted after a lost reply) found
     // its original tape still pending: the original keeps its pin, this
     // execution's pin is surplus.
     if (!inserted) store_->unpin(key);
     ++requests_served_;
-    if (!reply_and_cache(dedupe_key(run[i]), std::move(slots[i].reply))) {
+    if (!reply_and_cache(run[i], std::move(slots[i].reply))) {
       return false;
     }
   }
@@ -253,27 +302,36 @@ bool ExpertWorker::handle_backward_run(std::vector<comm::Message>& run) {
   };
   std::vector<Slot> slots(valid);
   // Group by expert: backwards for the same expert accumulate into the same
-  // LoRA gradient buffers, so they run sequentially inside one task (in
-  // arrival order — the serial accumulation order); distinct experts touch
-  // disjoint parameter nodes and run as parallel tasks. std::map keys the
-  // groups in fixed expert-id order.
+  // LoRA gradient buffers (and staging slots), so they run sequentially
+  // inside one task (in arrival order — the serial accumulation order);
+  // distinct experts touch disjoint parameter nodes and run as parallel
+  // tasks. std::map keys the groups in fixed expert-id order.
   std::map<ExpertKey, std::vector<std::size_t>> groups;
+  const bool staging = lanes_.size() > 1;
   for (const std::size_t i : plain) {
     auto it = pending_.find(run[i].request_id);
     slots[i].req = std::move(it->second);
     pending_.erase(it);
     groups[slots[i].req.key].push_back(i);
+    // Staging slots are created here: map bookkeeping is not thread-safe.
+    if (staging) staged_[slots[i].req.key][run[i].source];
   }
   std::vector<std::function<void()>> tasks;
   tasks.reserve(groups.size());
   for (auto& [key, indices] : groups) {
-    tasks.push_back([this, &run, &slots, &indices = indices] {
+    auto* staged = staging ? &staged_.at(key) : nullptr;
+    tasks.push_back([this, &run, &slots, &indices = indices, staged] {
+      std::vector<nn::Parameter> params;
+      if (staged != nullptr) {
+        params = slots[indices.front()].req.expert->trainable_parameters();
+      }
       for (const std::size_t i : indices) {
         comm::Message& msg = run[i];
         Slot& s = slots[i];
         // Resume backpropagation: expert LoRA gradients accumulate locally;
         // only the input gradient returns to the master.
         ag::backward_from(s.req.output, msg.payload);
+        if (staged != nullptr) stage_grads(staged->at(msg.source), params);
         comm::Message reply;
         reply.type = comm::MessageType::kExpertBackwardResult;
         reply.request_id = msg.request_id;
@@ -291,7 +349,7 @@ bool ExpertWorker::handle_backward_run(std::vector<comm::Message>& run) {
     // The gradients landed in the (still pinned) expert's parameters; the
     // tape is retired, so the request's pin can go.
     store_->unpin(slots[i].req.key);
-    if (!reply_and_cache(dedupe_key(run[i]), std::move(slots[i].reply))) {
+    if (!reply_and_cache(run[i], std::move(slots[i].reply))) {
       return false;
     }
   }
@@ -331,6 +389,10 @@ bool ExpertWorker::stitched_backward(std::uint64_t base_id,
       ag::Variable::leaf(ops::concat_rows(xs), /*requires_grad=*/true);
   ag::Variable out = expert.forward(in);
   ag::backward_from(out, ops::concat_rows(dys));
+  if (lanes_.size() > 1) {
+    std::vector<nn::Parameter> params = expert.trainable_parameters();
+    stage_grads(staged_[key][first.source], params);
+  }
   const Tensor& dx = in.grad();
   std::size_t at = 0;
   std::size_t c = 0;
@@ -353,7 +415,7 @@ bool ExpertWorker::stitched_backward(std::uint64_t base_id,
     // Retire the fragment's pending tape and its pin.
     pending_.erase(msg.request_id);
     store_->unpin(key);
-    if (!reply_and_cache(dedupe_key(msg), std::move(reply))) return false;
+    if (!reply_and_cache(msg, std::move(reply))) return false;
   }
   return true;
 }
@@ -371,29 +433,34 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
       VELA_LOG_DEBUG(tag) << "dropping corrupted " << msg.to_string();
       continue;
     }
+    // The source names the reply lane. On a remote lane it comes from
+    // outside the process, so a source without a lane is a protocol error.
+    VELA_CHECK_MSG(msg.source < lanes_.size(),
+                   "request from source " << msg.source << " but only "
+                                          << lanes_.size() << " reply lanes");
     // Already served (duplicate fault or master retransmission after a lost
     // reply): replay the cached reply, do not re-execute.
     if (auto it = reply_cache_.find(dedupe_key(msg)); it != reply_cache_.end()) {
       ++duplicates_replayed_;
-      if (!link_->to_master.send(comm::Message(it->second))) {
-        VELA_LOG_ERROR(tag) << "master channel gone while replaying reply; "
+      if (!lanes_[msg.source]->send(comm::Message(it->second))) {
+        VELA_LOG_ERROR(tag) << "reply lane gone while replaying reply; "
                                "terminating";
-        link_->to_worker.close();
+        inbox_->close();
         return false;
       }
       continue;
     }
 
     // A run of compute requests: extend it with same-type, clean,
-    // not-yet-served messages from the rest of the batch (a (type, id) pair
-    // repeated within the batch breaks the run so the second copy hits the
-    // reply cache, exactly as it would serially).
+    // not-yet-served messages from valid sources from the rest of the batch
+    // (a (type, id) pair repeated within the batch breaks the run so the
+    // second copy hits the reply cache, exactly as it would serially).
     if (msg.type == comm::MessageType::kExpertForward ||
         msg.type == comm::MessageType::kExpertBackward) {
       std::vector<comm::Message> run;
       run.push_back(std::move(msg));
       while (i < batch.size() && batch[i].type == run.front().type &&
-             batch[i].checksum_ok() &&
+             batch[i].checksum_ok() && batch[i].source < lanes_.size() &&
              reply_cache_.find(dedupe_key(batch[i])) == reply_cache_.end() &&
              std::none_of(run.begin(), run.end(),
                           [&](const comm::Message& m) {
@@ -407,14 +474,13 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
                           : handle_backward_run(run);
       if (!ok) {
         VELA_LOG_ERROR(tag) << "reply channel closed; worker terminating";
-        link_->to_worker.close();
+        inbox_->close();
         return false;
       }
       continue;
     }
 
     const ExpertKey key{msg.layer, msg.expert};
-    const std::uint64_t req_key = dedupe_key(msg);
     bool sent = true;
     // Control-plane dispatch only: kExpertForward/kExpertBackward were
     // consumed by the run-batching branch above, and the *Result/*Done/
@@ -441,30 +507,28 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
           // Everything is resident: per-expert AdamW states are disjoint, so
           // the steps run as parallel tasks; keys() is ascending, so task
           // order is fixed expert-id order regardless of pool size.
-          std::vector<ExpertKey> stepped;
-          std::vector<nn::AdamW*> opts;
+          std::vector<std::pair<ExpertKey, store::ExpertSlot*>> stepped;
           stepped.reserve(keys.size());
-          opts.reserve(keys.size());
           for (const auto& k : keys) {
-            nn::AdamW* opt = store_->pin(k).optimizer.get();
-            if (opt == nullptr) {
+            store::ExpertSlot& slot = store_->pin(k);
+            if (slot.optimizer == nullptr) {
               store_->unpin(k);
               continue;
             }
-            if (has_lr) opt->set_learning_rate(msg.payload[0]);
-            stepped.push_back(k);
-            opts.push_back(opt);
+            if (has_lr) slot.optimizer->set_learning_rate(msg.payload[0]);
+            stepped.emplace_back(k, &slot);
           }
           std::vector<std::function<void()>> tasks;
-          tasks.reserve(opts.size());
-          for (nn::AdamW* opt : opts) {
-            tasks.push_back([opt] {
-              opt->step();
-              opt->zero_grad();
+          tasks.reserve(stepped.size());
+          for (const auto& [k, slot] : stepped) {
+            tasks.push_back([this, &k = k, slot = slot] {
+              fold_staged(k, *slot->expert);
+              slot->optimizer->step();
+              slot->optimizer->zero_grad();
             });
           }
           util::ThreadPool::global().run(tasks);
-          for (const auto& k : stepped) store_->unpin(k);
+          for (const auto& [k, slot] : stepped) store_->unpin(k);
         } else {
           // Bounded store: step serially in key order, one resident expert
           // at a time, so the pool never exceeds its budget. Per-expert
@@ -473,17 +537,19 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
           for (const auto& k : keys) {
             store::Pinned pinned(*store_, k);
             if (pinned.optimizer() != nullptr) {
+              fold_staged(k, pinned.expert());
               if (has_lr) pinned.optimizer()->set_learning_rate(msg.payload[0]);
               pinned.optimizer()->step();
               pinned.optimizer()->zero_grad();
             }
           }
         }
+        staged_.clear();
         comm::Message reply;
         reply.type = comm::MessageType::kOptimizerStepDone;
         reply.request_id = msg.request_id;
         reply.step = msg.step;
-        sent = reply_and_cache(req_key, std::move(reply));
+        sent = reply_and_cache(msg, std::move(reply));
         break;
       }
       case comm::MessageType::kFetchExpert:
@@ -500,7 +566,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
         }
         reply.wire_bits = spec_.wire_bits;
         if (msg.type == comm::MessageType::kFetchExpert) store_->erase(key);
-        sent = reply_and_cache(req_key, std::move(reply));
+        sent = reply_and_cache(msg, std::move(reply));
         break;
       }
       case comm::MessageType::kSnapshotExpert: {
@@ -516,7 +582,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
               pack_full_state(pinned.expert(), pinned.optimizer());
         }
         reply.wire_bits = spec_.wire_bits;
-        sent = reply_and_cache(req_key, std::move(reply));
+        sent = reply_and_cache(msg, std::move(reply));
         break;
       }
       case comm::MessageType::kRestoreExpert: {
@@ -533,7 +599,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
         reply.request_id = msg.request_id;
         reply.layer = msg.layer;
         reply.expert = msg.expert;
-        sent = reply_and_cache(req_key, std::move(reply));
+        sent = reply_and_cache(msg, std::move(reply));
         break;
       }
       case comm::MessageType::kLoadExpertState: {
@@ -547,7 +613,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
         reply.request_id = msg.request_id;
         reply.layer = msg.layer;
         reply.expert = msg.expert;
-        sent = reply_and_cache(req_key, std::move(reply));
+        sent = reply_and_cache(msg, std::move(reply));
         break;
       }
       case comm::MessageType::kInstallExpert: {
@@ -561,14 +627,14 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
         reply.request_id = msg.request_id;
         reply.layer = msg.layer;
         reply.expert = msg.expert;
-        sent = reply_and_cache(req_key, std::move(reply));
+        sent = reply_and_cache(msg, std::move(reply));
         break;
       }
       case comm::MessageType::kProbe: {
         comm::Message reply;
         reply.type = comm::MessageType::kProbeAck;
         reply.request_id = msg.request_id;
-        sent = reply_and_cache(req_key, std::move(reply));
+        sent = reply_and_cache(msg, std::move(reply));
         break;
       }
       case comm::MessageType::kStorePriorities: {
@@ -595,7 +661,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
         comm::Message reply;
         reply.type = comm::MessageType::kStorePrioritiesDone;
         reply.request_id = msg.request_id;
-        sent = reply_and_cache(req_key, std::move(reply));
+        sent = reply_and_cache(msg, std::move(reply));
         break;
       }
       case comm::MessageType::kPrefetchExperts: {
@@ -614,19 +680,21 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
       case comm::MessageType::kAbortStep: {
         // Mid-step failure recovery: discard the in-flight step entirely —
         // pending tapes and any expert gradients accumulated by partial
-        // backwards (resident ones now, spilled ones at their next page-in)
-        // — so the retried step starts from clean state.
+        // backwards (resident ones now, spilled ones at their next page-in,
+        // staged ones with their slots) — so the retried step starts from
+        // clean state.
         if (!pending_.empty()) {
           VELA_LOG_DEBUG(tag) << "abort: dropping " << pending_.size()
                               << " in-flight tapes";
         }
         release_pending();
         partial_backward_.clear();
+        staged_.clear();
         store_->zero_all_grads();
         comm::Message reply;
         reply.type = comm::MessageType::kAbortStepDone;
         reply.request_id = msg.request_id;
-        sent = reply_and_cache(req_key, std::move(reply));
+        sent = reply_and_cache(msg, std::move(reply));
         break;
       }
       case comm::MessageType::kCrash: {
@@ -637,8 +705,9 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
         store_->clear();
         pending_.clear();
         partial_backward_.clear();
-        link_->to_master.close();
-        link_->to_worker.close();
+        staged_.clear();
+        close_lanes();
+        inbox_->close();
         return false;
       }
       case comm::MessageType::kShutdown: {
@@ -653,7 +722,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
       // The master-side channel is gone (severed link or master teardown):
       // a structured death instead of silently computing into the void.
       VELA_LOG_ERROR(tag) << "reply channel closed; worker terminating";
-      link_->to_worker.close();
+      inbox_->close();
       return false;
     }
   }

@@ -1,10 +1,22 @@
-// The Expert Manager process of Fig. 4, realized as a thread.
+// The Expert Manager process of Fig. 4, realized as a thread — and the one
+// expert server of the repository: a VELA worker and an expert-parallel
+// device (ep/runtime.h, the Fig. 2 baseline) both host a slice of experts
+// this way.
 //
 // A worker owns a subset of the model's experts, serves forward requests
 // (keeping the local autograd tape alive per request), resumes backward
 // passes when the master ships output gradients, and runs a *local* AdamW
 // per expert at the end of every step — no gradient ever leaves the worker,
 // which is precisely how VELA avoids data parallelism's all-reduce.
+//
+// Requests arrive on one inbox and every reply travels on the reply lane
+// named by its request's Message::source. A VELA worker has one lane (its
+// master); an EP device has one per peer shard. With several lanes, backward
+// requests from different sources race into the inbox, so each source's
+// parameter-gradient deltas are staged apart and folded in ascending source
+// order at kOptimizerStep: the summed gradient, and with it the whole
+// trajectory, is independent of arrival order. With one lane, arrival order
+// is the sender's order and gradients accumulate in place.
 //
 // Expert state lives in a store::ExpertStore (DESIGN.md §15), not in the
 // worker itself: with VELA_EXPERT_BUDGET unset the InMemoryStore backend
@@ -20,7 +32,8 @@
 // request or a lost reply) replays the cached reply instead of re-executing.
 // Checksummed messages that fail verification are dropped — the master's
 // timeout/retry recovers them. Both are prerequisites for the retry layer in
-// core/fault_tolerance.h.
+// core/fault_tolerance.h. A request from a source with no reply lane is a
+// protocol error.
 #pragma once
 
 #include <deque>
@@ -28,6 +41,7 @@
 #include <memory>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -45,15 +59,22 @@ namespace vela::core {
 
 class ExpertWorker {
  public:
-  // `link` is the duplex master↔worker connection; the worker receives on
-  // link->to_worker and replies on link->to_master. `initial_experts` are
-  // constructed (from the spec's base_seed) before the thread starts.
-  // `meter` (optional) receives the store's page-in/page-out byte series —
-  // in-process workers share the master's TrafficMeter, remote vela_nodes
-  // run unmetered.
-  ExpertWorker(WorkerSpec spec, comm::DuplexLink* link,
+  // `inbox` receives every request; `lanes[s]` carries the replies to the
+  // requests whose Message::source is s. `initial_experts` are constructed
+  // (from the spec's base_seed) before the thread starts. `meter` (optional)
+  // receives the store's page-in/page-out byte series — in-process workers
+  // share the master's TrafficMeter, remote vela_nodes run unmetered.
+  ExpertWorker(WorkerSpec spec, comm::Endpoint* inbox,
+               std::vector<comm::Endpoint*> lanes,
                std::vector<ExpertKey> initial_experts,
                comm::TrafficMeter* meter = nullptr);
+  // The duplex master↔worker connection: receives on link->to_worker and
+  // replies on link->to_master, the single lane.
+  ExpertWorker(WorkerSpec spec, comm::DuplexLink* link,
+               std::vector<ExpertKey> initial_experts,
+               comm::TrafficMeter* meter = nullptr)
+      : ExpertWorker(std::move(spec), &link->to_worker, {&link->to_master},
+                     std::move(initial_experts), meter) {}
   ~ExpertWorker();
 
   ExpertWorker(const ExpertWorker&) = delete;
@@ -75,6 +96,7 @@ class ExpertWorker {
  private:
   struct PendingRequest {
     ExpertKey key;
+    nn::SwiGLUExpert* expert = nullptr;  // valid while the request is pinned
     ag::Variable input;
     ag::Variable output;
   };
@@ -112,9 +134,19 @@ class ExpertWorker {
   // Unpins every pending request's expert and drops the tapes (step
   // boundary, abort).
   void release_pending();
-  // Sends a reply and caches a copy under `key` for idempotent replay.
-  // Returns false when the master-side channel is gone (terminate loop).
-  bool reply_and_cache(std::uint64_t key, comm::Message reply);
+  // Sends `reply` on `request`'s lane and caches a copy under its dedupe
+  // key for idempotent replay. Returns false when the lane is gone
+  // (terminate loop).
+  bool reply_and_cache(const comm::Message& request, comm::Message reply);
+  // Multi-lane workers: moves the gradient delta the last backward left in
+  // `params` into the per-source slot and re-zeroes the shared buffers.
+  static void stage_grads(std::vector<Tensor>& slot,
+                          std::vector<nn::Parameter>& params);
+  // Sets the expert's gradients to its staged deltas summed in ascending
+  // source order (no-op when nothing is staged for `key`).
+  void fold_staged(const ExpertKey& key, nn::SwiGLUExpert& expert);
+  // Closes every reply lane (protocol error, crash).
+  void close_lanes();
   static std::uint64_t dedupe_key(const comm::Message& m) {
     // (type, id) key matching ReliableLink's: forward and backward of the
     // same request share an id, so the type disambiguates the cache entry.
@@ -126,7 +158,8 @@ class ExpertWorker {
   // necessarily the same resolution the master's broker performed. Applies
   // to compute replies only; state/snapshot replies stay raw fp32.
   comm::WireCodec codec_;
-  comm::DuplexLink* link_;
+  comm::Endpoint* inbox_;
+  std::vector<comm::Endpoint*> lanes_;  // [request source]
   std::unique_ptr<store::ExpertStore> store_;
   // Every pending request holds one pin on its expert: the tape references
   // the expert's parameter nodes, so eviction before the backward retires
@@ -136,6 +169,10 @@ class ExpertWorker {
   // id (fragment ids are consecutive: base + chunk_index). Cleared with
   // pending_ at step boundaries and aborts.
   std::unordered_map<std::uint64_t, PartialTrain> partial_backward_;
+  // Multi-lane workers only: expert → source → parameter-gradient deltas
+  // (parallel to the expert's trainable_parameters()), folded and cleared
+  // at kOptimizerStep, dropped by kAbortStep and kCrash.
+  std::map<ExpertKey, std::map<std::uint32_t, std::vector<Tensor>>> staged_;
   // (request type, request id) → cached reply, bounded FIFO.
   std::unordered_map<std::uint64_t, comm::Message> reply_cache_;
   std::deque<std::uint64_t> reply_cache_order_;

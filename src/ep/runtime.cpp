@@ -2,366 +2,20 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
-#include <map>
 #include <thread>
-#include <unordered_map>
 
 #include "autograd/ops.h"
 #include "comm/phase_ledger.h"
-#include "core/protocol.h"
+#include "core/expert_worker.h"
 #include "moe/moe_block.h"
-#include "nn/expert.h"
-#include "store/expert_store.h"
 #include "util/audit.h"
 #include "util/check.h"
-#include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace vela::ep {
 namespace {
 
-using core::ExpertKey;
-
 // ---------------------------------------------------------------------------
-// Expert server: hosts this shard's expert slice and serves forward/backward
-// requests from every peer (including its own shard).
-// ---------------------------------------------------------------------------
-class ExpertServer {
- public:
-  ExpertServer(std::size_t shard, const EpRuntimeConfig& cfg,
-               std::size_t num_layers, std::size_t num_experts,
-               std::size_t num_shards, comm::Endpoint* inbox,
-               std::vector<comm::Endpoint*> reply)
-      : shard_(shard),
-        cfg_(cfg),
-        codec_(comm::WireCodec::resolve(cfg.wire_dtype, cfg.wire_bits,
-                                        /*legacy_quantize=*/false,
-                                        cfg.q8_block)),
-        inbox_(inbox),
-        reply_(std::move(reply)) {
-    // Expert ownership lives in an ExpertStore like the VELA worker's — but
-    // always the unbounded InMemoryStore: expert parallelism has no
-    // locality signal to page against (every shard owns a fixed stripe and
-    // every step touches all of it), so the EP baseline keeps its whole
-    // slice resident by construction.
-    store::StoreConfig store_cfg;
-    store_cfg.budget = 0;  // unbounded, bypasses the env resolution
-    store_ = store::make_expert_store(
-        store_cfg, [this](const ExpertKey& key) {
-          Rng rng(nn::expert_seed(cfg_.seed, key.layer, key.expert));
-          store::ExpertSlot slot;
-          slot.expert = std::make_unique<nn::SwiGLUExpert>(
-              "layer" + std::to_string(key.layer) + ".expert" +
-                  std::to_string(key.expert),
-              cfg_.model.model_dim, cfg_.model.hidden_dim, cfg_.model.lora,
-              rng);
-          if (codec_.is_int8()) {
-            slot.expert->enable_q8_compute(codec_.block);
-          }
-          if (cfg_.model.lora.enabled) {
-            slot.optimizer = std::make_unique<nn::AdamW>(
-                slot.expert->trainable_parameters(), cfg_.adamw);
-          }
-          return slot;
-        });
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      for (std::size_t e = shard; e < num_experts; e += num_shards) {
-        const ExpertKey key{static_cast<std::uint32_t>(l),
-                            static_cast<std::uint32_t>(e)};
-        store_->emplace(key);
-        aux_[key].trainable = store_->pin(key).expert->trainable_parameters();
-        store_->unpin(key);
-      }
-    }
-  }
-
-  void start() { thread_ = std::thread([this] { run(); }); }
-
-  void join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  // EP-only sidecar state the ExpertStore does not model, keyed parallel to
-  // the store's experts.
-  struct Aux {
-    // Cached trainable-parameter handles, in registration order — the
-    // staging slots below are parallel arrays over this list. Stable for
-    // the server's lifetime because the InMemoryStore never evicts.
-    std::vector<nn::Parameter> trainable;
-    // Per-source-shard gradient deltas staged during the step and folded
-    // into the parameter grads in ascending source order at
-    // kOptimizerStep time. Backward requests from different shards race
-    // into the server inbox; accumulating them in arrival order made the
-    // summed gradient (and therefore the whole trajectory) depend on
-    // thread scheduling. Staging by source restores bit-determinism.
-    std::map<std::uint32_t, std::vector<Tensor>> staged;
-  };
-  struct Pending {
-    ag::Variable input;
-    ag::Variable output;
-  };
-
-  void run() {
-    const std::string tag = "ep-server/" + std::to_string(shard_);
-    try {
-      while (true) {
-        auto maybe = inbox_->receive();
-        if (!maybe.has_value()) return;
-        // Drain the backlog: runs of same-type compute requests across all
-        // peers become parallel tasks on the shared pool. Per-(server,
-        // source) reply FIFO order is preserved because replies always go
-        // out on this thread in arrival order.
-        std::vector<comm::Message> batch;
-        batch.push_back(std::move(*maybe));
-        while (auto more = inbox_->try_receive()) {
-          batch.push_back(std::move(*more));
-        }
-        std::size_t i = 0;
-        while (i < batch.size()) {
-          const comm::MessageType type = batch[i].type;
-          if (type == comm::MessageType::kShutdown) return;
-          if (type == comm::MessageType::kExpertForward ||
-              type == comm::MessageType::kExpertBackward) {
-            std::size_t j = i;
-            while (j < batch.size() && batch[j].type == type) ++j;
-            if (type == comm::MessageType::kExpertForward) {
-              handle_forward_run(batch, i, j);
-            } else {
-              handle_backward_run(batch, i, j);
-            }
-            i = j;
-            continue;
-          }
-          handle(std::move(batch[i]));
-          ++i;
-        }
-      }
-    } catch (const CheckError& err) {
-      VELA_LOG_ERROR(tag) << "server terminating on protocol error: "
-                          << err.what();
-      for (auto* ch : reply_) ch->close();
-    }
-  }
-
-  // Computes batch[b, e) — all kExpertForward — as parallel tasks. Forwards
-  // only read expert weights and each task owns its request payload and
-  // output slot, so concurrent requests (even for the same expert) are safe.
-  void handle_forward_run(std::vector<comm::Message>& batch, std::size_t b,
-                          std::size_t e) {
-    const std::size_t count = e - b;
-    // Serial semantics on an unowned expert: every request before it still
-    // replies; truncate, compute the prefix, then raise for the offender.
-    std::size_t valid = count;
-    for (std::size_t k = 0; k < count; ++k) {
-      if (!store_->contains({batch[b + k].layer, batch[b + k].expert})) {
-        valid = k;
-        break;
-      }
-    }
-    struct Slot {
-      ag::Variable x;
-      ag::Variable y;
-      comm::Message reply;
-    };
-    std::vector<Slot> slots(valid);
-    // Resolve expert handles on the server thread (store bookkeeping is not
-    // thread-safe); the parallel tasks below touch only the raw pointers.
-    std::vector<nn::SwiGLUExpert*> experts(valid);
-    for (std::size_t k = 0; k < valid; ++k) {
-      const ExpertKey key{batch[b + k].layer, batch[b + k].expert};
-      experts[k] = store_->pin(key).expert.get();
-      store_->unpin(key);  // InMemoryStore: never evicts, pointer stays valid
-    }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(valid);
-    for (std::size_t k = 0; k < valid; ++k) {
-      tasks.push_back([this, &batch, &slots, &experts, b, k] {
-        comm::Message& msg = batch[b + k];
-        Slot& s = slots[k];
-        nn::SwiGLUExpert& expert = *experts[k];
-        s.x = ag::Variable::leaf(std::move(msg.payload),
-                                 /*requires_grad=*/true);
-        s.y = expert.forward(s.x);
-        comm::Message reply;
-        reply.type = comm::MessageType::kExpertForwardResult;
-        reply.request_id = msg.request_id;
-        reply.source = static_cast<std::uint32_t>(shard_);
-        reply.layer = msg.layer;
-        reply.expert = msg.expert;
-        reply.payload = codec_.apply(s.y.value());
-        codec_.stamp(reply);
-        s.reply = std::move(reply);
-      });
-    }
-    util::ThreadPool::global().run(tasks);
-    for (std::size_t k = 0; k < valid; ++k) {
-      pending_.emplace(batch[b + k].request_id, Pending{slots[k].x, slots[k].y});
-      VELA_CHECK(reply_[batch[b + k].source]->send(std::move(slots[k].reply)));
-    }
-    if (valid < count) {
-      VELA_CHECK_MSG(false, "shard " << shard_ << " does not own expert "
-                                     << core::to_string(ExpertKey{
-                                            batch[b + valid].layer,
-                                            batch[b + valid].expert}));
-    }
-  }
-
-  // Moves the parameter-gradient delta the last backward_from produced into
-  // the expert's per-source staging slot and re-zeroes the shared buffers.
-  // The cross-source summation order is thereby fixed at fold time
-  // (ascending source id, see kOptimizerStep) instead of inheriting the
-  // nondeterministic message arrival order.
-  static void stage_grads(Aux& aux, std::uint32_t source) {
-    auto& slot = aux.staged[source];
-    const bool fresh = slot.empty();
-    if (fresh) slot.reserve(aux.trainable.size());
-    for (std::size_t i = 0; i < aux.trainable.size(); ++i) {
-      ag::Variable& p = aux.trainable[i].var;
-      if (fresh) {
-        slot.push_back(p.has_grad() ? p.grad()
-                                    : Tensor::zeros(p.value().shape()));
-      } else if (p.has_grad()) {
-        Tensor& acc = slot[i];
-        const Tensor& g = p.grad();
-        for (std::size_t j = 0; j < acc.size(); ++j) {
-          acc.data()[j] += g.data()[j];
-        }
-      }
-      p.zero_grad();
-    }
-  }
-
-  // Computes batch[b, e) — all kExpertBackward. Backwards for the same
-  // expert share LoRA gradient buffers and a staging slot, so they stay
-  // sequential within one task; distinct experts touch disjoint parameter
-  // nodes and run in parallel.
-  void handle_backward_run(std::vector<comm::Message>& batch, std::size_t b,
-                           std::size_t e) {
-    const std::size_t count = e - b;
-    std::size_t valid = count;
-    for (std::size_t k = 0; k < count; ++k) {
-      if (pending_.count(batch[b + k].request_id) == 0) {
-        valid = k;
-        break;
-      }
-    }
-    struct Slot {
-      Pending req;
-      comm::Message reply;
-    };
-    std::vector<Slot> slots(valid);
-    std::map<ExpertKey, std::vector<std::size_t>> groups;
-    for (std::size_t k = 0; k < valid; ++k) {
-      auto it = pending_.find(batch[b + k].request_id);
-      slots[k].req = std::move(it->second);
-      pending_.erase(it);
-      groups[{batch[b + k].layer, batch[b + k].expert}].push_back(k);
-    }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(groups.size());
-    for (auto& [key, indices] : groups) {
-      Aux& aux = aux_.at(key);
-      tasks.push_back([this, &batch, &slots, &aux, b,
-                       &indices = indices] {
-        for (const std::size_t k : indices) {
-          comm::Message& msg = batch[b + k];
-          Slot& s = slots[k];
-          ag::backward_from(s.req.output, msg.payload);
-          stage_grads(aux, msg.source);
-          comm::Message reply;
-          reply.type = comm::MessageType::kExpertBackwardResult;
-          reply.request_id = msg.request_id;
-          reply.source = static_cast<std::uint32_t>(shard_);
-          reply.layer = msg.layer;
-          reply.expert = msg.expert;
-          reply.payload = codec_.apply(s.req.input.grad());
-          codec_.stamp(reply);
-          s.reply = std::move(reply);
-        }
-      });
-    }
-    util::ThreadPool::global().run(tasks);
-    for (std::size_t k = 0; k < valid; ++k) {
-      VELA_CHECK(reply_[batch[b + k].source]->send(std::move(slots[k].reply)));
-    }
-    VELA_CHECK_MSG(valid == count, "EP backward for unknown request "
-                                       << batch[b + valid].request_id);
-  }
-
-  void handle(comm::Message msg) {
-    // The EP baseline speaks a two-message subset of the protocol: compute
-    // requests are drained batch-wise by run_forward_batch/
-    // run_backward_batch before handle() sees them, leaving only the step
-    // boundary here; every locality-placement message type is meaningless
-    // under expert parallelism and lands on the default: abort.
-    // vela-analyze: allow(partial-dispatch)
-    switch (msg.type) {
-      case comm::MessageType::kOptimizerStep: {
-        // Forward-only passes (evaluation) leave tapes without a backward;
-        // the step boundary retires them.
-        pending_.clear();
-        // Disjoint per-expert AdamW states step as parallel tasks, in fixed
-        // expert-id order (store keys() is ascending). Handles resolve on
-        // the server thread; the tasks only touch their own expert's state.
-        std::vector<std::function<void()>> tasks;
-        for (const ExpertKey& key : store_->keys()) {
-          nn::AdamW* opt = store_->pin(key).optimizer.get();
-          store_->unpin(key);
-          if (opt == nullptr) continue;
-          tasks.push_back([opt, &aux = aux_.at(key)] {
-            // Fold the staged per-source gradient deltas in ascending
-            // source order (staged is a std::map) — the summed gradient
-            // is now independent of backward-request arrival order.
-            for (std::size_t i = 0; i < aux.trainable.size(); ++i) {
-              Tensor total;
-              for (auto& [source, grads] : aux.staged) {
-                if (total.size() == 0) {
-                  total = grads[i];
-                } else {
-                  for (std::size_t j = 0; j < total.size(); ++j) {
-                    total.data()[j] += grads[i].data()[j];
-                  }
-                }
-              }
-              if (total.size() > 0) {
-                aux.trainable[i].var.set_grad(std::move(total));
-              }
-            }
-            aux.staged.clear();
-            opt->step();
-            opt->zero_grad();
-          });
-        }
-        util::ThreadPool::global().run(tasks);
-        comm::Message reply;
-        reply.type = comm::MessageType::kOptimizerStepDone;
-        reply.request_id = msg.request_id;
-        reply.source = static_cast<std::uint32_t>(shard_);
-        VELA_CHECK(reply_[msg.source]->send(std::move(reply)));
-        break;
-      }
-      default:
-        VELA_CHECK_MSG(false,
-                       "EP server received unexpected " << msg.to_string());
-    }
-  }
-
-  std::size_t shard_;
-  const EpRuntimeConfig& cfg_;
-  // Compute-reply codec; resolved identically on every shard.
-  comm::WireCodec codec_;
-  comm::Endpoint* inbox_;
-  std::vector<comm::Endpoint*> reply_;  // [source shard]
-  std::unique_ptr<store::ExpertStore> store_;
-  std::map<ExpertKey, Aux> aux_;  // EP sidecar state, parallel to store_
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::thread thread_;
-};
-
-// ---------------------------------------------------------------------------
-// Peer backend: a shard's MoE dispatch — all-to-all to the owning servers.
+// Peer backend: a shard's MoE dispatch — all-to-all to the owning workers.
 // ---------------------------------------------------------------------------
 class PeerBackend : public moe::ExpertBackend {
  public:
@@ -369,16 +23,15 @@ class PeerBackend : public moe::ExpertBackend {
               std::size_t num_layers, comm::WireCodec codec,
               const cluster::ClusterTopology* topology,
               comm::TrafficMeter* meter,
-              std::vector<comm::Endpoint*> to_server,
-              std::vector<comm::Endpoint*> from_server)
+              std::vector<comm::Endpoint*> to_worker,
+              std::vector<comm::Endpoint*> from_worker)
       : shard_(shard),
         num_shards_(num_shards),
-        num_layers_(num_layers),
         codec_(codec),
         topology_(topology),
         meter_(meter),
-        to_server_(std::move(to_server)),
-        from_server_(std::move(from_server)),
+        to_worker_(std::move(to_worker)),
+        from_worker_(std::move(from_worker)),
         ledger_(num_layers, num_shards, num_shards),
         next_request_((static_cast<std::uint64_t>(shard) << 48) + 1) {}
 
@@ -420,9 +73,9 @@ class PeerBackend : public moe::ExpertBackend {
       account(layer, /*backward=*/false, shard_, owner, msg.wire_size());
       outstanding.push_back(
           {owner, msg.request_id, static_cast<std::uint32_t>(expert)});
-      VELA_CHECK(to_server_[owner]->send(std::move(msg)));
+      VELA_CHECK(to_worker_[owner]->send(std::move(msg)));
     }
-    // Gather phase: collect in send order (FIFO per server per source).
+    // Gather phase: collect in send order (FIFO per worker per source).
     std::vector<ag::Variable> results;
     results.reserve(groups.size());
     for (std::size_t i = 0; i < outstanding.size(); ++i) {
@@ -448,7 +101,7 @@ class PeerBackend : public moe::ExpertBackend {
             record(owner, grad_msg.wire_size());
             account(layer32, /*backward=*/true, shard_, owner,
                     grad_msg.wire_size());
-            VELA_CHECK(to_server_[owner]->send(std::move(grad_msg)));
+            VELA_CHECK(to_worker_[owner]->send(std::move(grad_msg)));
             comm::Message dx = await(
                 owner, request_id, comm::MessageType::kExpertBackwardResult);
             account(layer32, /*backward=*/true, owner, shard_, dx.wire_size());
@@ -460,7 +113,7 @@ class PeerBackend : public moe::ExpertBackend {
 
  private:
   void record(std::size_t owner, std::uint64_t bytes) {
-    // Server inboxes are shared across sources, so requests are attributed
+    // Worker inboxes are shared across sources, so requests are attributed
     // here; replies are metered by the per-pair reply channels themselves.
     meter_->record(topology_->node_of(shard_), topology_->node_of(owner),
                    bytes);
@@ -473,8 +126,8 @@ class PeerBackend : public moe::ExpertBackend {
 
   comm::Message await(std::size_t owner, std::uint64_t request_id,
                       comm::MessageType expected) {
-    auto maybe = from_server_[owner]->receive();
-    VELA_CHECK_MSG(maybe.has_value(), "EP server " << owner
+    auto maybe = from_worker_[owner]->receive();
+    VELA_CHECK_MSG(maybe.has_value(), "EP worker " << owner
                                                    << " channel closed");
     VELA_CHECK_MSG(maybe->type == expected && maybe->request_id == request_id,
                    "EP protocol violation: expected "
@@ -483,15 +136,15 @@ class PeerBackend : public moe::ExpertBackend {
     return std::move(*maybe);
   }
 
-  std::size_t shard_, num_shards_, num_layers_;
+  std::size_t shard_, num_shards_;
   // Dispatch-payload codec (comm/wire_codec.h) — all-to-all requests and
   // the backward gradient exchange; the backbone ring all-reduce keeps the
   // legacy raw-fp32 accounting below.
   comm::WireCodec codec_;
   const cluster::ClusterTopology* topology_;
   comm::TrafficMeter* meter_;
-  std::vector<comm::Endpoint*> to_server_;
-  std::vector<comm::Endpoint*> from_server_;
+  std::vector<comm::Endpoint*> to_worker_;
+  std::vector<comm::Endpoint*> from_worker_;
   comm::PhaseLedger ledger_;
   std::uint64_t next_request_;
 };
@@ -574,10 +227,10 @@ struct EpRuntime::Impl {
   // (identical on every shard; shard 0 records it). Joined before read.
   std::uint64_t allreduce_bytes = 0;
 
-  std::vector<std::unique_ptr<comm::Endpoint>> inbox;            // [server]
-  std::vector<std::vector<std::unique_ptr<comm::Endpoint>>> reply;  // [srv][src]
+  std::vector<std::unique_ptr<comm::Endpoint>> inbox;            // [worker]
+  std::vector<std::vector<std::unique_ptr<comm::Endpoint>>> reply;  // [wkr][src]
   std::vector<std::unique_ptr<comm::Endpoint>> ring;             // [d] d→d+1
-  std::vector<std::unique_ptr<ExpertServer>> servers;
+  std::vector<std::unique_ptr<core::ExpertWorker>> workers;
   std::vector<std::unique_ptr<PeerBackend>> backends;
   std::vector<std::unique_ptr<model::MoETransformer>> replicas;
   std::vector<std::unique_ptr<nn::AdamW>> optimizers;
@@ -588,7 +241,7 @@ struct EpRuntime::Impl {
        const model::PlantingConfig& planting)
       : cfg(config), topology(config.cluster), meter(&topology),
         clock(&topology, config.clock), n(topology.num_devices()) {
-    // Endpoints, all on the configured transport backend. Server inboxes
+    // Endpoints, all on the configured transport backend. Worker inboxes
     // carry mixed sources (metered at the sender); replies and ring edges
     // have fixed endpoints and meter themselves.
     const comm::TransportKind transport = comm::resolve_transport(cfg.transport);
@@ -608,26 +261,48 @@ struct EpRuntime::Impl {
           &meter));
     }
 
-    // Servers + replicas.
+    // Expert workers: device d serves {(l, e) : e mod N == d} and replies to
+    // source s on reply[d][s]. Always the unbounded InMemoryStore: expert
+    // parallelism has no locality signal to page against (every device owns
+    // a fixed stripe and every step touches all of it), so the EP baseline
+    // keeps its whole slice resident by construction.
     for (std::size_t d = 0; d < n; ++d) {
-      std::vector<comm::Endpoint*> reply_ptrs;
-      for (auto& ch : reply[d]) reply_ptrs.push_back(ch.get());
-      servers.push_back(std::make_unique<ExpertServer>(
-          d, cfg, cfg.model.num_layers, cfg.model.num_experts, n,
-          inbox[d].get(), std::move(reply_ptrs)));
-      servers.back()->start();
+      core::WorkerSpec spec;
+      spec.worker_id = d;
+      spec.node = topology.node_of(d);
+      spec.model_dim = cfg.model.model_dim;
+      spec.hidden_dim = cfg.model.hidden_dim;
+      spec.lora = cfg.model.lora;
+      spec.adamw = cfg.adamw;
+      spec.base_seed = cfg.seed;
+      spec.wire_bits = cfg.wire_bits;
+      spec.wire_dtype = cfg.wire_dtype;
+      spec.q8_block = cfg.q8_block;
+      spec.expert_budget = 0;
+      std::vector<comm::Endpoint*> lanes;
+      for (auto& ch : reply[d]) lanes.push_back(ch.get());
+      std::vector<core::ExpertKey> slice;
+      for (std::size_t l = 0; l < cfg.model.num_layers; ++l) {
+        for (std::size_t e = d; e < cfg.model.num_experts; e += n) {
+          slice.push_back({static_cast<std::uint32_t>(l),
+                           static_cast<std::uint32_t>(e)});
+        }
+      }
+      workers.push_back(std::make_unique<core::ExpertWorker>(
+          spec, inbox[d].get(), std::move(lanes), std::move(slice)));
+      workers.back()->start();
     }
     for (std::size_t d = 0; d < n; ++d) {
-      std::vector<comm::Endpoint*> to_server, from_server;
+      std::vector<comm::Endpoint*> to_worker, from_worker;
       for (std::size_t o = 0; o < n; ++o) {
-        to_server.push_back(inbox[o].get());
-        from_server.push_back(reply[o][d].get());
+        to_worker.push_back(inbox[o].get());
+        from_worker.push_back(reply[o][d].get());
       }
       backends.push_back(std::make_unique<PeerBackend>(
           d, n, cfg.model.num_layers,
           comm::WireCodec::resolve(cfg.wire_dtype, cfg.wire_bits,
                                    /*legacy_quantize=*/false, cfg.q8_block),
-          &topology, &meter, std::move(to_server), std::move(from_server)));
+          &topology, &meter, std::move(to_worker), std::move(from_worker)));
       Rng rng(cfg.seed);
       replicas.push_back(std::make_unique<model::MoETransformer>(
           cfg.model, backends.back().get(), rng));
@@ -646,7 +321,7 @@ struct EpRuntime::Impl {
       bye.type = comm::MessageType::kShutdown;
       inbox[d]->send(std::move(bye));
     }
-    for (auto& server : servers) server->join();
+    for (auto& worker : workers) worker->join();
     for (auto& ch : inbox) ch->close();
   }
 
@@ -667,7 +342,7 @@ struct EpRuntime::Impl {
     ag::Variable loss = replicas[d]->loss_batch(my_batch);
     *loss_out = loss.value()[0];
     // Backprop 1/N·loss so expert gradients (accumulated across shards on
-    // the owning servers) and all-reduce-SUMMED backbone gradients both
+    // the owning workers) and all-reduce-SUMMED backbone gradients both
     // equal the gradient of the global mean loss.
     ag::backward(ag::scale(loss, 1.0f / static_cast<float>(n)));
 
@@ -742,11 +417,13 @@ EpStepReport EpRuntime::train_step(
     if (err) std::rethrow_exception(err);
   }
 
-  // Expert optimizer steps (one ack per server, routed to source 0).
+  // Expert optimizer steps (one ack per worker, routed to source 0). Each
+  // step's request gets its own id: the workers' (type, id) reply cache
+  // would replay a repeated one instead of stepping.
   for (std::size_t d = 0; d < im.n; ++d) {
     comm::Message msg;
     msg.type = comm::MessageType::kOptimizerStep;
-    msg.request_id = 0;
+    msg.request_id = im.step + 1;
     msg.source = 0;
     VELA_CHECK(im.inbox[d]->send(std::move(msg)));
   }

@@ -3,14 +3,16 @@
 // its traffic model.
 //
 // Every device runs a shard: a full backbone replica (data parallelism over
-// the input batch) plus an expert server hosting experts {e : e mod N == d}
-// of every MoE block. A shard's MoE dispatch sends token groups to the
-// owning peers (the all-to-all), whose servers compute the experts on their
-// local tapes and return activations; backward retraces the same exchanges
-// with gradients. The step ends with a literal ring all-reduce of the
-// replicated backbone's LoRA gradients over byte-counted channels, followed
-// by identical AdamW steps on every replica — the data-parallel cost VELA's
-// master–worker design eliminates.
+// the input batch) plus a core::ExpertWorker — the same expert server VELA's
+// workers run — hosting experts {e : e mod N == d} of every MoE block, with
+// one reply lane per peer shard. A shard's MoE dispatch sends token groups
+// to the owning peers (the all-to-all), whose workers compute the experts on
+// their local tapes and return activations; backward retraces the same
+// exchanges with gradients, which each worker folds in ascending source
+// order before its local AdamW step. The step ends with a literal ring
+// all-reduce of the replicated backbone's LoRA gradients over byte-counted
+// channels, followed by identical AdamW steps on every replica — the
+// data-parallel cost VELA's master–worker design eliminates.
 //
 // Numerical contract: with equal-length sequences split evenly over shards,
 // the EP runtime computes the same global loss and (up to float summation

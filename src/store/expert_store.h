@@ -1,9 +1,9 @@
 // ExpertStore — the single owner of hosted expert state (DESIGN.md §15).
 //
-// Every runtime that used to hold a `std::map<ExpertKey, {expert, AdamW}>`
-// (the expert worker, the EP expert server) now holds an ExpertStore handle
-// instead, so migration, recovery, checkpointing and paging all flow through
-// one chokepoint. Two backends:
+// The expert worker (VELA's workers and the EP baseline's shards alike)
+// holds an ExpertStore handle instead of a `std::map<ExpertKey, {expert,
+// AdamW}>`, so migration, recovery, checkpointing and paging all flow
+// through one chokepoint. Two backends:
 //
 //   InMemoryStore  every hosted expert stays resident — byte-for-byte the
 //                  pre-store semantics, and the default.

@@ -12,6 +12,7 @@
 #include "autograd/variable.h"
 #include "core/vela_system.h"
 #include "data/batch.h"
+#include "ep/runtime.h"
 #include "nn/expert.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -179,6 +180,53 @@ TEST(ParallelDeterminism, FullTrainingStepIsBitExactWithIdenticalTraffic) {
     EXPECT_EQ(serial.external_mb[i], threaded.external_mb[i])
         << "traffic diverged at step " << i;
   }
+}
+
+TEST(ParallelDeterminism, EpTrainingStepIsBitExactWithIdenticalClock) {
+  // The EP baseline's shards serve each other's backwards concurrently, so
+  // the expert gradient sums must not depend on arrival order or pool size:
+  // losses, metered bytes and the modeled step times are all pinned.
+  struct StepTrace {
+    std::vector<float> losses;
+    std::vector<std::uint64_t> external_bytes;
+    std::vector<std::uint64_t> total_bytes;
+    std::vector<double> comm_seconds;
+    std::vector<double> step_seconds;
+  };
+  const auto run = [&] {
+    ep::EpRuntimeConfig cfg;
+    cfg.model = model::ModelConfig::tiny_test();
+    cfg.cluster = cluster::ClusterConfig::paper_testbed();
+    cfg.cluster.num_nodes = 2;
+    cfg.cluster.gpus_per_node = 2;
+    cfg.seed = 5;
+    cfg.wire_bits = 32;
+    data::SyntheticCorpus corpus(
+        data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 23);
+    ep::EpRuntime ep(cfg, &corpus);
+    EXPECT_EQ(4u, ep.num_shards());
+    const auto batch = corpus.make_dataset(8, 6);
+    StepTrace trace;
+    for (std::size_t i = 0; i < 3; ++i) {
+      const auto report = ep.train_step(batch);
+      trace.losses.push_back(report.loss);
+      trace.external_bytes.push_back(ep.meter().step_external_bytes(i));
+      trace.total_bytes.push_back(ep.meter().step_total_bytes(i));
+      trace.comm_seconds.push_back(report.comm_seconds);
+      trace.step_seconds.push_back(report.step_seconds);
+    }
+    return trace;
+  };
+  const StepTrace serial = with_threads(1, run);
+  const StepTrace threaded = with_threads(4, run);
+  ASSERT_EQ(serial.losses.size(), threaded.losses.size());
+  EXPECT_EQ(0, std::memcmp(serial.losses.data(), threaded.losses.data(),
+                           serial.losses.size() * sizeof(float)))
+      << "loss bits differ between 1 and 4 lanes";
+  EXPECT_EQ(serial.external_bytes, threaded.external_bytes);
+  EXPECT_EQ(serial.total_bytes, threaded.total_bytes);
+  EXPECT_EQ(serial.comm_seconds, threaded.comm_seconds);
+  EXPECT_EQ(serial.step_seconds, threaded.step_seconds);
 }
 
 }  // namespace

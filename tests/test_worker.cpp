@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "autograd/ops.h"
 #include "tensor/ops.h"
 #include "util/check.h"
@@ -165,6 +168,139 @@ TEST(ExpertWorker, ClosingChannelStopsThread) {
   link.to_worker.close();
   worker.join();
   SUCCEED();
+}
+
+// A worker with one inbox and one reply lane per source, as an expert-
+// parallel device runs it.
+struct MultiLaneFixture {
+  explicit MultiLaneFixture(std::size_t lanes) {
+    for (std::size_t s = 0; s < lanes; ++s) {
+      reply.push_back(std::make_unique<comm::Endpoint>(
+          comm::TransportKind::kDefault, 0, 0, nullptr));
+    }
+    std::vector<comm::Endpoint*> ptrs;
+    for (auto& lane : reply) ptrs.push_back(lane.get());
+    worker = std::make_unique<core::ExpertWorker>(
+        test_spec(), &inbox, std::move(ptrs),
+        std::vector<core::ExpertKey>{{0, 0}});
+    worker->start();
+  }
+  ~MultiLaneFixture() {
+    comm::Message bye;
+    bye.type = comm::MessageType::kShutdown;
+    inbox.send(std::move(bye));
+    worker->join();
+  }
+
+  void send(comm::MessageType type, std::uint64_t id, std::uint32_t source,
+            Tensor payload = {}) {
+    comm::Message msg;
+    msg.type = type;
+    msg.request_id = id;
+    msg.source = source;
+    msg.layer = 0;
+    msg.expert = 0;
+    msg.payload = std::move(payload);
+    inbox.send(std::move(msg));
+  }
+
+  comm::Endpoint inbox{comm::TransportKind::kDefault, 0, 0, nullptr};
+  std::vector<std::unique_ptr<comm::Endpoint>> reply;
+  std::unique_ptr<core::ExpertWorker> worker;
+};
+
+TEST(ExpertWorker, MultiLaneGradientsAreArrivalOrderIndependent) {
+  // Source 0 sends two backwards for expert (0,0), source 1 one. Summed in
+  // arrival order, (a + b) + c and (c + a) + b differ in the low bits;
+  // staged per source and folded in source order, both give (a + b) + c.
+  Rng xr(9);
+  const Tensor xs = ops::randn({3, 8}, xr);
+  std::vector<Tensor> dys;
+  for (int k = 0; k < 3; ++k) dys.push_back(ops::randn({3, 8}, xr));
+  struct Request {
+    std::uint64_t id;
+    std::uint32_t source;
+  };
+  const auto adapters_after = [&](const std::vector<Request>& order) {
+    MultiLaneFixture f(2);
+    const Request requests[] = {{1, 0}, {2, 0}, {3, 1}};
+    for (const Request& r : requests) {
+      f.send(comm::MessageType::kExpertForward, r.id, r.source, xs);
+      const auto reply = f.reply[r.source]->receive();
+      EXPECT_EQ(reply->type, comm::MessageType::kExpertForwardResult);
+      EXPECT_EQ(reply->request_id, r.id);
+    }
+    for (const Request& r : order) {
+      f.send(comm::MessageType::kExpertBackward, r.id, r.source,
+             dys[r.id - 1]);
+    }
+    for (const Request& r : order) {
+      const auto reply = f.reply[r.source]->receive();
+      EXPECT_EQ(reply->type, comm::MessageType::kExpertBackwardResult);
+      EXPECT_EQ(reply->request_id, r.id);
+    }
+    f.send(comm::MessageType::kOptimizerStep, 10, 1);
+    EXPECT_EQ(f.reply[1]->receive()->type,
+              comm::MessageType::kOptimizerStepDone);
+    f.send(comm::MessageType::kQueryExpert, 11, 0);
+    return f.reply[0]->receive()->payload;
+  };
+  const Tensor in_order = adapters_after({{1, 0}, {2, 0}, {3, 1}});
+  const Tensor reversed = adapters_after({{3, 1}, {1, 0}, {2, 0}});
+  ASSERT_EQ(in_order.shape(), reversed.shape());
+  EXPECT_EQ(0, std::memcmp(in_order.data(), reversed.data(),
+                           in_order.size() * sizeof(float)));
+}
+
+TEST(ExpertWorker, SourceWithoutLaneIsProtocolError) {
+  // The source field of a remote lane comes from outside the process: a
+  // request naming a lane the worker does not have must kill the worker
+  // (every lane closes) after the requests before it were answered.
+  MultiLaneFixture f(2);
+  Rng xr(10);
+  const Tensor xs = ops::randn({2, 8}, xr);
+  f.send(comm::MessageType::kExpertForward, 1, 1, xs);
+  f.send(comm::MessageType::kExpertForward, 2, 2, xs);
+  const auto served = f.reply[1]->receive();
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(served->request_id, 1u);
+  EXPECT_FALSE(f.reply[1]->receive().has_value());
+  EXPECT_FALSE(f.reply[0]->receive().has_value());
+  f.worker->join();
+  EXPECT_EQ(f.worker->requests_served(), 1u);
+}
+
+TEST(ExpertWorker, DistinctOptimizerStepIdsEachStep) {
+  // Two step boundaries need two request ids: a repeated id is a duplicate
+  // and replays the cached ack without stepping.
+  WorkerFixture f;
+  Rng xr(11);
+  const Tensor xs = ops::randn({4, 8}, xr);
+  const auto step_and_query = [&](std::uint64_t base, std::uint64_t step_id) {
+    f.request_forward(base, 0, xs);
+    comm::Message grad;
+    grad.type = comm::MessageType::kExpertBackward;
+    grad.request_id = base;
+    grad.payload = Tensor::full({4, 8}, 10.0f);
+    f.link.to_worker.send(std::move(grad));
+    f.link.to_master.receive();
+    comm::Message step;
+    step.type = comm::MessageType::kOptimizerStep;
+    step.request_id = step_id;
+    f.link.to_worker.send(std::move(step));
+    EXPECT_EQ(f.link.to_master.receive()->type,
+              comm::MessageType::kOptimizerStepDone);
+    comm::Message query;
+    query.type = comm::MessageType::kQueryExpert;
+    query.request_id = base + 1;
+    f.link.to_worker.send(std::move(query));
+    return f.link.to_master.receive()->payload;
+  };
+  const Tensor first = step_and_query(1, 100);
+  const Tensor second = step_and_query(3, 101);
+  EXPECT_FALSE(ops::allclose(first, second, 0.0f, 0.0f));
+  const Tensor replayed = step_and_query(5, 101);
+  EXPECT_TRUE(ops::allclose(second, replayed, 0.0f, 0.0f));
 }
 
 TEST(PackUnpack, RoundTripsTrainableState) {
